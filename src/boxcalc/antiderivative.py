@@ -280,7 +280,13 @@ def check_antiderivative(
         raise DomainError(f"all steps must be positive, got {h}")
     axes = []
     for j, (a, b, step) in enumerate(zip(box.lower, box.upper, h), start=1):
-        lo, hi = float(a) + step, float(b) - step
+        a, b = float(a), float(b)
+        lo, hi = a + step, b - step
+        # Rounding in a + step or b - step can put a stencil corner just outside the box.
+        while lo - step < a:
+            lo = math.nextafter(lo, math.inf)
+        while hi + step > b:
+            hi = math.nextafter(hi, -math.inf)
         if lo > hi:
             raise DomainError(f"axis {j}: stencil of half-width {step} escapes the box")
         axes.append(np.linspace(lo, hi, grid_points))

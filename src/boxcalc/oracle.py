@@ -2,9 +2,11 @@
 
 Both are deterministic.  The cubature uses cached Legendre rules computed by
 Newton iteration; the Monte Carlo stream comes from a counter-based generator
-so a seed maps to the same sample sequence on every platform and run.  All
-reductions go through math.fsum, which returns the correctly rounded exact
-sum regardless of term order.
+so a seed maps to the same sample sequence on every platform and run.  Every
+reduction returns the correctly rounded exact sum of its terms, regardless of
+term order and of how the terms are split into blocks: long arrays are first
+condensed by error-free extraction into a few floats with the same exact sum,
+and one math.fsum rounds the lot.
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ def _axis_rule(a: float, b: float, cfg: QuadratureConfig) -> tuple[np.ndarray, n
 
 
 _EVAL_BLOCK = 1 << 20
+# Below this many terms math.fsum on the array is faster than extracting first.
+_EXTRACT_MIN = 1024
 
 
 def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None) -> float:
@@ -111,8 +115,10 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
     Exact (to rounding) for polynomials of per-axis degree up to
     2*nodes - 1.  Degenerate axes contribute zero weight, so the result is
     exactly 0.0 when the box is degenerate.  The tensor grid is walked in
-    C order in fixed-size blocks, so memory stays bounded for large rules
-    and the result is reproducible bit for bit.
+    C order in slabs of at most _EVAL_BLOCK points, so memory stays bounded
+    for large rules.  The value is the correctly rounded sum of all weighted
+    integrand values over the whole grid, so it does not depend on the slab
+    size and is reproducible bit for bit.
     """
     cfg = cfg or QuadratureConfig()
     n = box.dim
@@ -123,26 +129,89 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
         raise BudgetExceededError(
             f"({cfg.nodes}*{cfg.panels})^{n} evaluations exceed the budget {cfg.max_evals}"
         )
-    axis_nodes = []
-    axis_weights = []
-    for j in range(n):
-        nodes, weights = _axis_rule(float(box.lower[j]), float(box.upper[j]), cfg)
-        axis_nodes.append(nodes)
-        axis_weights.append(weights)
-    total = per_axis**n
-    block_sums = []
-    for start in range(0, total, _EVAL_BLOCK):
-        flat = np.arange(start, min(start + _EVAL_BLOCK, total))
-        axis_index = [None] * n
-        rem = flat
-        for j in reversed(range(n)):
-            rem, axis_index[j] = np.divmod(rem, per_axis)
-        points = np.stack([axis_nodes[j][axis_index[j]] for j in range(n)], axis=1)
-        weights = axis_weights[0][axis_index[0]]
-        for j in range(1, n):
-            weights = weights * axis_weights[j][axis_index[j]]
-        block_sums.append(math.fsum(weights * f.evaluate(points)))
-    return math.fsum(block_sums) + 0.0
+    rules = [_axis_rule(float(box.lower[j]), float(box.upper[j]), cfg) for j in range(n)]
+    parts = [
+        _exact_parts(weights * f.evaluate(points))
+        for points, weights in _grid_slabs(rules, _EVAL_BLOCK)
+    ]
+    return math.fsum(np.concatenate(parts)) + 0.0
+
+
+def _grid_slabs(rules, block: int):
+    """(points, weights) of the tensor grid of per-axis (nodes, weights) rules, in C order.
+
+    Each slab holds at most `block` points: a run of whole trailing
+    sub-grids (the last k axes in full, k as large as fits), or a run of
+    single points when not even one row fits.  Only the run's indices on
+    the other axes are decoded; the rest is built by broadcasting.  Each
+    weight is the left-to-right product w0[i0]*w1[i1]*..., rounded the
+    same way in every slab layout.
+    """
+    n = len(rules)
+    per_axis = len(rules[0][0])
+    k = 0
+    while k < n and per_axis ** (k + 1) <= block:
+        k += 1
+    lead = n - k
+    run = block // per_axis**k
+    count = per_axis**lead
+    for start in range(0, count, run):
+        index = [None] * lead
+        rem = np.arange(start, min(start + run, count))
+        for j in reversed(range(lead)):
+            rem, index[j] = np.divmod(rem, per_axis)
+        rows = len(rem)
+        points = np.empty((rows,) + (per_axis,) * k + (n,))
+        weights = np.ones(rows)
+        for j, (nodes, w) in enumerate(rules):
+            if j < lead:
+                points[..., j] = nodes[index[j]].reshape((rows,) + (1,) * k)
+                weights = weights * w[index[j]]
+            else:
+                shape = [1] * (k + 1)
+                shape[j - lead + 1] = per_axis
+                points[..., j] = nodes.reshape(shape)
+                weights = np.multiply.outer(weights, w)
+        yield points.reshape(-1, n), weights.reshape(-1)
+
+
+def _exact_parts(values) -> np.ndarray:
+    """A short float array whose exact sum is the exact sum of `values`.
+
+    Repeated ExtractVector (S. M. Rump, T. Ogita and S. Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008):
+    with sigma a power of two, sigma >= len(x) * 2**e and |x| < 2**e,
+    q = (sigma + x) - sigma is the part of x on the grid of eps*sigma.
+    Every partial sum of q is exact, so q.sum() is exact in any order, and
+    x - q is exact.  Each pass keeps that one sum and goes on with the
+    remainders, which lie below eps*sigma, dropping zeros once they are
+    the majority.  Arrays shorter than
+    _EXTRACT_MIN, arrays holding inf or nan, and what is left once sigma
+    would overflow or fall below the normal range are returned as they
+    are.  So math.fsum of the result is math.fsum(values), bit for bit,
+    whenever math.fsum(values) neither overflows nor meets inf or nan,
+    and behaves the same on inf and nan.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    sums = []
+    while x.size >= _EXTRACT_MIN:
+        top = max(x.max(), -x.min())
+        if not math.isfinite(top):
+            break
+        exponent = math.frexp(top)[1] + x.size.bit_length()
+        if not -1022 <= exponent <= 1023:
+            break
+        sigma = math.ldexp(1.0, exponent)
+        q = x + sigma
+        q -= sigma
+        sums.append(q.sum())
+        x = np.subtract(x, q, out=q)
+        nonzero = x != 0.0
+        kept = np.count_nonzero(nonzero)
+        # Dropping zeros costs a copy: worth it once they are the majority.
+        if kept < _EXTRACT_MIN or 2 * kept < x.size:
+            x = x[nonzero]
+    return np.concatenate([sums, x])
 
 
 def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloEstimate:
@@ -169,8 +238,8 @@ def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloE
     points = origin + u @ matrix.T
     values = f.evaluate(points) * abs(det)
     v0 = float(values[0])
-    mean = v0 + math.fsum(values - v0) / samples
+    mean = v0 + math.fsum(_exact_parts(values - v0)) / samples
     deviations = values - mean
-    variance = math.fsum(deviations * deviations) / (samples - 1)
+    variance = math.fsum(_exact_parts(deviations * deviations)) / (samples - 1)
     stderr = math.sqrt(variance / samples)
     return MonteCarloEstimate(estimate=mean, stderr=stderr, samples=samples, seed=seed)

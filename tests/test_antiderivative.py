@@ -223,6 +223,30 @@ class TestCheckAntiderivative:
         assert report.h == (0.01, 0.01)
         assert report.passed
 
+    def test_numeric_antiderivative_at_a_lower_corner_that_rounds_outward(self):
+        # With h = 1e-3 * (1.4895 - 0.3959), fl(fl(0.3959 + h) - h) < 0.3959, so an
+        # inset of exactly a + h would put the stencil below F's base corner.
+        f = field_from_expression("cos(x1)*exp(x2)", 2)
+        F = numeric_antiderivative(f, (0.3959, 0.0))
+        report = check_antiderivative(f, F, Hypercuboid((0.3959, 0.0), (1.4895, 1.0)), grid_points=5)
+        assert report.passed
+
+    @pytest.mark.parametrize("a, b", [(0.3959, 1.4895), (0.1764, 1.2034)])
+    def test_stencils_stay_inside_the_box(self, a, b):
+        # (0.3959, 1.4895) rounds a + h - h below a, (0.1764, 1.2034) rounds b - h + h above b.
+        seen = []
+
+        def F(pts):
+            seen.append(np.array(pts))
+            return pts[:, 0] ** 2 / 2
+
+        report = check_antiderivative(
+            field_from_expression("x1", 1), field_from_callable(F, arity=1, batch=True), Hypercuboid((a,), (b,))
+        )
+        assert report.passed
+        seen = np.concatenate(seen)
+        assert seen.min() >= a and seen.max() <= b
+
     def test_stencil_escape(self):
         f = field_from_expression("x1", 1)
         with pytest.raises(DomainError, match="axis 1: stencil of half-width 0.6 escapes"):

@@ -2,8 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxcalc.oracle as oracle
 from boxcalc import (
@@ -22,6 +25,24 @@ from boxcalc import (
     poly_from_expr,
 )
 from helpers import random_polynomial, random_rational_box, rel_err
+
+
+def _flat_divmod_walk(rules, block):
+    """Reference grid walk: decode every flat C-order index with one divmod per axis."""
+    n = len(rules)
+    per_axis = len(rules[0][0])
+    total = per_axis**n
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        axis_index = [None] * n
+        rem = flat
+        for j in reversed(range(n)):
+            rem, axis_index[j] = np.divmod(rem, per_axis)
+        points = np.stack([rules[j][0][axis_index[j]] for j in range(n)], axis=1)
+        weights = rules[0][1][axis_index[0]]
+        for j in range(1, n):
+            weights = weights * rules[j][1][axis_index[j]]
+        yield points, weights
 
 
 class TestLegendreRule:
@@ -102,13 +123,71 @@ class TestGaussLegendreBox:
         with pytest.raises(DomainError):
             gauss_legendre_box(f, Hypercuboid((0.0, 0.0), (1.0, 1.0)))
 
-    def test_block_size_does_not_change_the_value(self, monkeypatch):
-        f = field_from_expression("sin(x1)*exp(x2)", 2)
-        box = Hypercuboid((Fraction(-1, 2), 0), (2, Fraction(3, 4)))
-        whole = gauss_legendre_box(f, box)
-        monkeypatch.setattr(oracle, "_EVAL_BLOCK", 37)
-        chunked = gauss_legendre_box(f, box)
-        assert rel_err(chunked, whole) < 1e-14
+    @pytest.mark.parametrize(
+        "expr, box, cfg, block",
+        [
+            # 48 points per row: blocks of 37 and 1 split rows mid-axis, 100 takes two rows.
+            ("sin(x1)*exp(x2)", ((Fraction(-1, 2), 0), (2, Fraction(3, 4))), QuadratureConfig(), 37),
+            ("sin(x1)*exp(x2)", ((Fraction(-1, 2), 0), (2, Fraction(3, 4))), QuadratureConfig(), 1),
+            ("sin(x1)*exp(x2)", ((Fraction(-1, 2), 0), (2, Fraction(3, 4))), QuadratureConfig(), 100),
+            # 3-d rows of 20 points exceed a block of 13; a 20x20 plane exceeds one of 150.
+            ("exp(x1-x2)*cos(x3)", ((0, -1, 0.5), (1, 1, 2)), QuadratureConfig(nodes=5, panels=4), 13),
+            ("exp(x1-x2)*cos(x3)", ((0, -1, 0.5), (1, 1, 2)), QuadratureConfig(nodes=5, panels=4), 150),
+            ("exp(x1)+x2", ((0.0, 1.5), (2.0, 1.5)), QuadratureConfig(), 37),
+        ],
+        ids=["2d-block37", "2d-block1", "2d-block100", "3d-block13", "3d-block150", "degenerate-block37"],
+    )
+    def test_block_size_does_not_change_the_value(self, monkeypatch, expr, box, cfg, block):
+        f = field_from_expression(expr, len(box[0]))
+        box = Hypercuboid(*box)
+        whole = gauss_legendre_box(f, box, cfg)
+        monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
+        chunked = gauss_legendre_box(f, box, cfg)
+        assert chunked == whole
+        if box.is_degenerate():
+            assert math.copysign(1.0, chunked) == 1.0 and chunked == 0.0
+
+    @pytest.mark.parametrize(
+        "dim, cfg, block",
+        [
+            (1, QuadratureConfig(nodes=7, panels=3), 1 << 20),
+            (1, QuadratureConfig(nodes=7, panels=3), 5),
+            (2, QuadratureConfig(nodes=4, panels=3), 1 << 20),
+            (2, QuadratureConfig(nodes=4, panels=3), 30),
+            (2, QuadratureConfig(nodes=4, panels=3), 7),
+            (3, QuadratureConfig(nodes=3, panels=4), 1 << 20),
+            (3, QuadratureConfig(nodes=3, panels=4), 144),
+            (3, QuadratureConfig(nodes=3, panels=4), 100),
+            (3, QuadratureConfig(nodes=3, panels=4), 5),
+        ],
+    )
+    def test_grid_walk_matches_the_flat_divmod_walk(self, monkeypatch, dim, cfg, block):
+        # The field returns ones, so the values reduced are the weights themselves.
+        points, values = [], []
+
+        def ones(pts):
+            points.append(pts.copy())
+            return np.ones(len(pts))
+
+        exact_parts = oracle._exact_parts
+
+        def record(weighted):
+            values.append(weighted.copy())
+            return exact_parts(weighted)
+
+        monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
+        monkeypatch.setattr(oracle, "_exact_parts", record)
+        box = Hypercuboid(tuple(-0.5 * j for j in range(dim)), tuple(1.0 + j for j in range(dim)))
+        got = gauss_legendre_box(field_from_callable(ones, arity=dim, batch=True), box, cfg)
+
+        rules = [oracle._axis_rule(float(a), float(b), cfg) for a, b in zip(box.lower, box.upper)]
+        ref = list(_flat_divmod_walk(rules, block))
+        want_points = np.concatenate([p for p, _ in ref])
+        want_weights = np.concatenate([w for _, w in ref])
+        assert max(len(p) for p in points) <= block
+        assert np.array_equal(np.concatenate(points), want_points)
+        assert np.array_equal(np.concatenate(values), want_weights)
+        assert got == math.fsum(want_weights) + 0.0
 
     def test_deterministic(self):
         f = field_from_expression("exp(x1*x2)", 2)
@@ -119,6 +198,70 @@ class TestGaussLegendreBox:
         f = field_from_expression("1", 1)
         box = Hypercuboid((Fraction(1, 3),), (Fraction(2, 3),))
         assert abs(gauss_legendre_box(f, box) - 1 / 3) < 1e-15
+
+
+CUT = oracle._EXTRACT_MIN
+
+
+def _fsum_outcome(values):
+    """math.fsum's value, or the exception type it raises."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestExactParts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.sampled_from([0, 1, CUT - 1, CUT, CUT + 1, 3 * CUT]) | st.integers(0, 4 * CUT),
+            elements=st.floats(-1e300, 1e300),
+        ),
+        cancel=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fsum_of_the_parts_is_fsum_of_the_array(self, x, cancel, seed):
+        # Exponents from subnormal to 1e300, signed zeros; with `cancel` every
+        # value meets its negation, so the exact sum is at most the tiny tail.
+        if cancel:
+            rng = np.random.default_rng(seed)
+            x = np.concatenate([x, -x, [5e-324, 1e-300]])
+            rng.shuffle(x)
+        parts = oracle._exact_parts(x)
+        assert math.fsum(parts) == math.fsum(x)
+
+    @pytest.mark.parametrize("length", [CUT - 1, CUT, 5 * CUT])
+    @pytest.mark.parametrize(
+        "fill",
+        [
+            [0.0],
+            [-0.0],
+            [0.0, -0.0],
+            [5e-324, -1e-320, 2.2e-308],
+            [1e300, 1e-300, -1e300, 3.0],
+            [1e308, 1e308, -1e308],
+            [math.inf, 1.0],
+            [math.nan, 1.0],
+            [math.inf, -math.inf, 1.0],
+        ],
+        ids=["zeros", "negative-zeros", "signed-zeros", "subnormal", "wide", "overflow", "inf", "nan", "inf-minus-inf"],
+    )
+    def test_edge_values_reduce_like_fsum(self, length, fill):
+        x = np.resize(np.array(fill), length)
+        want = _fsum_outcome(x)
+        got = _fsum_outcome(oracle._exact_parts(x))
+        if isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want and str(got) == str(want)
+
+    def test_long_arrays_shrink(self):
+        x = np.random.default_rng(3).uniform(0.0, 1.0, 1 << 16)
+        parts = oracle._exact_parts(x)
+        assert len(parts) < CUT
+        assert math.fsum(parts) == math.fsum(x)
 
 
 class TestMonteCarlo:
