@@ -32,7 +32,10 @@ class ScalarField:
     `fn` maps an array of shape (count, arity) to an array of shape (count,).
     Evaluation is deterministic: the same points produce bitwise the same
     values.  `tag` records provenance (expression, polynomial, builtin,
-    pullback, numeric-antiderivative, gauge-shifted).
+    pullback, numeric-antiderivative, gauge-shifted).  Fields built from an
+    expression also evaluate a cubature grid straight from its per-axis
+    coordinates (see gauss_legendre_box); every other field gets the grid's
+    points as rows.
     """
 
     arity: int
@@ -92,6 +95,17 @@ def as_field(f) -> ScalarField:
     raise TypeError(f"expected ScalarField or Antiderivative, got {type(f).__name__}")
 
 
+@dataclass(frozen=True)
+class _ExpressionField(ScalarField):
+    """A field whose values come from an expression tree."""
+
+    node: ex.Expr | None = None
+
+    def _evaluate_grid(self, columns) -> np.ndarray:
+        """Values on the grid the per-axis coordinate arrays span by broadcasting."""
+        return ex.evaluate_grid(self.node, columns)
+
+
 def field_from_expression(source, arity: int | None = None, tag: str = "expression") -> ScalarField:
     """Field backed by a parsed expression tree (or source text)."""
     if isinstance(source, str):
@@ -102,7 +116,7 @@ def field_from_expression(source, arity: int | None = None, tag: str = "expressi
         node = source
         if arity is None:
             arity = polycalc._max_var_index(node)
-    return ScalarField(arity, lambda pts: ex.evaluate_batch(node, pts), tag=tag)
+    return _ExpressionField(arity, lambda pts: ex.evaluate_batch(node, pts), tag=tag, node=node)
 
 
 def field_from_polynomial(p: polycalc.Polynomial) -> ScalarField:
@@ -202,6 +216,12 @@ def numeric_antiderivative(
     return Antiderivative(field=field, corner=base)
 
 
+def _check_steps(h: tuple[float, ...]) -> None:
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not all(0.0 < step < math.inf for step in h):
+        raise DomainError(f"all steps h must be positive and finite, got h={h}")
+
+
 def mixed_partial(F, x, h) -> float:
     """Central-difference mixed partial of F at x: one derivative per axis.
 
@@ -214,8 +234,7 @@ def mixed_partial(F, x, h) -> float:
     h = tuple(float(c) for c in h)
     if len(x) != F.arity or len(h) != F.arity:
         raise DomainError(f"point and steps must have {F.arity} coordinates")
-    if any(step <= 0 for step in h):
-        raise DomainError(f"all steps must be positive, got {h}")
+    _check_steps(h)
     box = Hypercuboid(
         tuple(c - step for c, step in zip(x, h)),
         tuple(c + step for c, step in zip(x, h)),
@@ -276,8 +295,7 @@ def check_antiderivative(
         h = tuple(float(c) for c in h)
     if len(h) != n:
         raise DomainError(f"h must have {n} entries, got {len(h)}")
-    if any(step <= 0 for step in h):
-        raise DomainError(f"all steps must be positive, got {h}")
+    _check_steps(h)
     axes = []
     for j, (a, b, step) in enumerate(zip(box.lower, box.upper, h), start=1):
         a, b = float(a), float(b)

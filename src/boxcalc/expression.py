@@ -16,8 +16,19 @@ grammar hangs '^' off a full unary, so a leading minus binds to the base:
 
 Evaluation follows real semantics: any operation that would leave the reals
 (log or sqrt of a negative, division by zero, fractional power of a negative,
-overflow to infinity) raises EvalError naming the offending sub-expression;
-a non-finite value is never returned silently.
+overflow to infinity) raises EvalError naming the offending sub-expression
+and the first offending point; a non-finite value is never returned silently.
+
+One evaluator serves single points, batches and tensor grids.  It takes one
+coordinate array per variable, arrays that broadcast together: the columns
+of a (count, n) batch, or each axis's nodes of a grid shaped to lie along
+its own axis.  Every sub-expression is computed at the broadcast shape of
+the variables it reads, so on a grid a factor in x1 alone costs one value
+per x1 node, and literals cost one scalar.  Elementwise arithmetic and
+numpy's math functions round the same at every shape; the one exception,
+numpy's shortcut for a scalar or broadcast exponent of 2, 0.5 or -1, is
+avoided by materialising such exponents.  So a value never depends on how
+points are batched or broadcast.
 """
 
 from __future__ import annotations
@@ -271,43 +282,62 @@ def parse(text: str, n_vars: int) -> Expr:
     return _Parser(text, n_vars).parse()
 
 
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
+def _point(mask, columns) -> tuple:
+    """Coordinates of the first True of `mask`, in C order over the broadcast grid.
+
+    Broadcasting repeats values along size-1 axes, so the first True of the
+    full grid has index 0 on every axis `mask` does not span.
+    """
+    index = np.unravel_index(int(np.argmax(mask)), np.shape(mask))
+    ndim = max([len(index)] + [column.ndim for column in columns])
+    index = (0,) * (ndim - len(index)) + tuple(int(i) for i in index)
+    return tuple(
+        column[tuple(i if size > 1 else 0 for i, size in zip(index[ndim - column.ndim :], column.shape))]
+        for column in columns
+    )
 
 
-def _power(base: np.ndarray, expo: np.ndarray, node: Expr, pts: np.ndarray) -> np.ndarray:
+def _power(base, expo, node: Expr, columns) -> np.ndarray:
     fractional = (base < 0.0) & (expo != np.floor(expo))
     if fractional.any():
-        raise EvalError(
-            "negative base with a non-integer exponent", node, pts[_first_bad(fractional)]
-        )
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.power(base, expo)
+        raise EvalError("negative base with a non-integer exponent", node, _point(fractional, columns))
+    # Under a scalar or broadcast exponent of 2, 0.5 or -1, numpy squares,
+    # roots or inverts instead of calling pow, which rounds differently.  An
+    # exponent array of the result's whole shape, at least one element,
+    # takes pow at every batch size.
+    shape = base.shape if expo.ndim == 0 else np.broadcast_shapes(base.shape, expo.shape)
+    if expo.shape != shape or not shape:
+        expo = np.full(shape or 1, expo)
+    out = np.power(base, expo)
     bad = ~np.isfinite(out)
     if bad.any():
         raise EvalError(
             "non-finite power (overflow or zero to a negative exponent)",
             node,
-            pts[_first_bad(bad)],
+            _point(bad, columns),
         )
-    return out
+    return out if shape else out[0]
 
 
-def _eval(node: Expr, pts: np.ndarray) -> np.ndarray:
-    count = pts.shape[0]
+def _eval(node: Expr, columns: tuple[np.ndarray, ...]):
+    """Value of `node` at the broadcast shape of the columns it reads.
+
+    Literals and constant subtrees stay numpy scalars, so each sub-expression
+    costs only the axes its variables span.
+    """
     if isinstance(node, Num):
-        return np.full(count, node.value)
+        return np.float64(node.value)
     if isinstance(node, Var):
-        if node.index > pts.shape[1]:
+        if node.index > len(columns):
             raise EvalError(f"point has no coordinate x{node.index}", node)
-        return pts[:, node.index - 1]
+        return columns[node.index - 1]
     if isinstance(node, Const):
-        return np.full(count, CONSTANTS[node.name])
+        return np.float64(CONSTANTS[node.name])
     if isinstance(node, Neg):
-        return -_eval(node.operand, pts)
+        return -_eval(node.operand, columns)
     if isinstance(node, BinOp):
-        left = _eval(node.left, pts)
-        right = _eval(node.right, pts)
+        left = _eval(node.left, columns)
+        right = _eval(node.right, columns)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -317,13 +347,13 @@ def _eval(node: Expr, pts: np.ndarray) -> np.ndarray:
         if node.op == "/":
             zero = right == 0.0
             if zero.any():
-                raise EvalError("division by zero", node, pts[_first_bad(zero)])
+                raise EvalError("division by zero", node, _point(zero, columns))
             return left / right
         if node.op == "^":
-            return _power(left, right, node, pts)
+            return _power(left, right, node, columns)
         raise DomainError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        args = [_eval(a, pts) for a in node.args]
+        args = [_eval(a, columns) for a in node.args]
         v = args[0]
         if node.name == "sin":
             return np.sin(v)
@@ -332,28 +362,73 @@ def _eval(node: Expr, pts: np.ndarray) -> np.ndarray:
         if node.name == "tan":
             return np.tan(v)
         if node.name == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(v)
+            out = np.exp(v)
             bad = ~np.isfinite(out)
             if bad.any():
-                raise EvalError("overflow in exp", node, pts[_first_bad(bad)])
+                raise EvalError("overflow in exp", node, _point(bad, columns))
             return out
         if node.name == "log":
             bad = v <= 0.0
             if bad.any():
-                raise EvalError("log of a non-positive value", node, pts[_first_bad(bad)])
+                raise EvalError("log of a non-positive value", node, _point(bad, columns))
             return np.log(v)
         if node.name == "sqrt":
             bad = v < 0.0
             if bad.any():
-                raise EvalError("sqrt of a negative value", node, pts[_first_bad(bad)])
+                raise EvalError("sqrt of a negative value", node, _point(bad, columns))
             return np.sqrt(v)
         if node.name == "abs":
             return np.abs(v)
         if node.name == "pow":
-            return _power(args[0], args[1], node, pts)
+            return _power(args[0], args[1], node, columns)
         raise DomainError(f"unknown function {node.name!r}")
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _subtrees(node: Expr):
+    """`node` and its descendants, depth first, left to right."""
+    yield node
+    if isinstance(node, Neg):
+        yield from _subtrees(node.operand)
+    elif isinstance(node, BinOp):
+        yield from _subtrees(node.left)
+        yield from _subtrees(node.right)
+    elif isinstance(node, Call):
+        for arg in node.args:
+            yield from _subtrees(arg)
+
+
+def _evaluate(node: Expr, columns: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
+    if 0 in shape:
+        # No point to evaluate at: only a missing coordinate is an error.
+        for sub in _subtrees(node):
+            if isinstance(sub, Var) and sub.index > len(columns):
+                raise EvalError(f"point has no coordinate x{sub.index}", sub)
+        return np.empty(shape)
+    # Every way of leaving the reals is checked explicitly, so numpy's own
+    # warnings would only repeat the EvalError.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _eval(node, columns)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise EvalError("non-finite result", node, _point(bad, columns))
+    if out.shape != shape:
+        out = np.full(shape, out)
+    return out
+
+
+def evaluate_grid(node: Expr, columns) -> np.ndarray:
+    """Values on the grid that coordinate arrays span by broadcasting.
+
+    `columns[j]` holds the values of x{j+1}; the arrays must broadcast
+    together, and the result has their broadcast shape.  On a tensor grid
+    (axis j's nodes shaped to lie along axis j) a sub-expression is
+    evaluated once per node of the axes it reads.  Each value, and the
+    point an EvalError names, equals what evaluate_batch gives on the
+    materialised points, bit for bit.
+    """
+    columns = tuple(np.asarray(c, dtype=float) for c in columns)
+    return _evaluate(node, columns, np.broadcast_shapes(*(c.shape for c in columns)))
 
 
 def evaluate_batch(node: Expr, points) -> np.ndarray:
@@ -361,11 +436,7 @@ def evaluate_batch(node: Expr, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise DomainError(f"points must be a 2-d array, got shape {pts.shape}")
-    out = np.asarray(_eval(node, pts), dtype=float)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise EvalError("non-finite result", node, pts[_first_bad(bad)])
-    return out
+    return _evaluate(node, tuple(pts.T), pts.shape[:1])
 
 
 def evaluate(node: Expr, point: Sequence[float]) -> float:

@@ -131,21 +131,41 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
         )
     rules = [_axis_rule(float(box.lower[j]), float(box.upper[j]), cfg) for j in range(n)]
     parts = [
-        _exact_parts(weights * f.evaluate(points))
-        for points, weights in _grid_slabs(rules, _EVAL_BLOCK)
+        _exact_parts((weights * _grid_values(f, columns, weights.shape)).ravel())
+        for columns, weights in _grid_slabs(rules, _EVAL_BLOCK)
     ]
     return math.fsum(np.concatenate(parts)) + 0.0
 
 
+def _grid_values(f, columns, shape: tuple[int, ...]) -> np.ndarray:
+    """f on one slab, at the slab's shape.
+
+    A field that evaluates coordinate columns itself (an expression field)
+    gets them as they are; any other field gets the slab's points stacked
+    into rows, in C order.
+    """
+    evaluate_grid = getattr(f, "_evaluate_grid", None)
+    if evaluate_grid is not None:
+        return evaluate_grid(columns)
+    points = np.empty(shape + (len(columns),))
+    for j, column in enumerate(columns):
+        points[..., j] = column
+    return f.evaluate(points.reshape(-1, len(columns))).reshape(shape)
+
+
 def _grid_slabs(rules, block: int):
-    """(points, weights) of the tensor grid of per-axis (nodes, weights) rules, in C order.
+    """(columns, weights) of the tensor grid of per-axis (nodes, weights) rules, in C order.
 
     Each slab holds at most `block` points: a run of whole trailing
     sub-grids (the last k axes in full, k as large as fits), or a run of
-    single points when not even one row fits.  Only the run's indices on
-    the other axes are decoded; the rest is built by broadcasting.  Each
-    weight is the left-to-right product w0[i0]*w1[i1]*..., rounded the
-    same way in every slab layout.
+    single points when not even one row fits.  `weights` has the slab's
+    shape, (rows,) followed by k axes of full rules.  `columns[j]` holds
+    axis j's coordinates, shaped to broadcast against it: the run's nodes
+    along the first axis for a decoded axis, the whole rule along its own
+    axis for a trailing one.  Only the run's indices on the decoded axes
+    are computed; no point array is built.  Each weight is the
+    left-to-right product w0[i0]*w1[i1]*..., rounded the same way in every
+    slab layout.
     """
     n = len(rules)
     per_axis = len(rules[0][0])
@@ -161,18 +181,18 @@ def _grid_slabs(rules, block: int):
         for j in reversed(range(lead)):
             rem, index[j] = np.divmod(rem, per_axis)
         rows = len(rem)
-        points = np.empty((rows,) + (per_axis,) * k + (n,))
+        columns = []
         weights = np.ones(rows)
         for j, (nodes, w) in enumerate(rules):
             if j < lead:
-                points[..., j] = nodes[index[j]].reshape((rows,) + (1,) * k)
+                columns.append(nodes[index[j]].reshape((rows,) + (1,) * k))
                 weights = weights * w[index[j]]
             else:
                 shape = [1] * (k + 1)
                 shape[j - lead + 1] = per_axis
-                points[..., j] = nodes.reshape(shape)
+                columns.append(nodes.reshape(shape))
                 weights = np.multiply.outer(weights, w)
-        yield points.reshape(-1, n), weights.reshape(-1)
+        yield tuple(columns), weights
 
 
 def _exact_parts(values) -> np.ndarray:

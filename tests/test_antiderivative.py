@@ -186,6 +186,12 @@ class TestMixedPartial:
         with pytest.raises(DomainError, match="coordinates"):
             mixed_partial(F, (0.5, 0.5), (0.1,))
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_step_that_is_not_finite(self, step):
+        F = field_from_expression("x1*x2", 2)
+        with pytest.raises(DomainError, match=r"steps h must be positive and finite, got h=\(0\.1, "):
+            mixed_partial(F, (0.5, 0.5), (0.1, step))
+
 
 class TestCheckAntiderivative:
     BOX = Hypercuboid((0.0, 0.0), (1.0, 2.0))
@@ -246,6 +252,15 @@ class TestCheckAntiderivative:
         assert report.passed
         seen = np.concatenate(seen)
         assert seen.min() >= a and seen.max() <= b
+
+    @pytest.mark.parametrize("h", [math.nan, (0.01, math.nan), math.inf])
+    def test_rejects_a_step_that_is_not_finite(self, h):
+        # NaN compares false with everything, so `step <= 0` let it through to
+        # the evaluator, which then reported a non-finite power at (nan, nan).
+        f = field_from_expression("x1*x2", 2)
+        F = field_from_expression("x1^2*x2^2/4", 2)
+        with pytest.raises(DomainError, match="steps h must be positive and finite, got h="):
+            check_antiderivative(f, F, self.BOX, h=h)
 
     def test_stencil_escape(self):
         f = field_from_expression("x1", 1)

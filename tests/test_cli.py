@@ -135,6 +135,25 @@ class TestIntegrate:
         assert code == 3
         assert err.startswith("error: log of a non-positive value in 'log(x1-2)' at point")
 
+    def test_overflow_prints_only_the_error_line(self):
+        # As its own process, so that a leaked numpy RuntimeWarning would
+        # reach stderr the way a user sees it.
+        env = dict(os.environ, PYTHONWARNINGS="default")
+        src = str(Path(boxcalc.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxcalc.cli", "integrate", "--f", "exp(400*x1)*exp(400*x2)", "--box", "0:1,0:1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: non-finite result in 'exp(400*x1)*exp(400*x2)' "
+            "at point (0.7787621657257119, 0.9976950792808399)\n"
+        )
+
     def test_bad_quadrature_request_exits_3(self, capsys):
         code, _, err = run(
             capsys, ["integrate", "--f", "x1", "--box", "0:1", "--verify", "--order", "40"]
@@ -160,6 +179,11 @@ class TestCheckAntiderivative:
         code, out, _ = run(capsys, self.BAD)
         assert code == 4
         assert out.splitlines()[-1] == "result: FAIL (tol 0.0001)"
+
+    def test_nan_step_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, self.GOOD + ["--h", "nan"])
+        assert (code, out) == (3, "")
+        assert err == "error: all steps h must be positive and finite, got h=(nan, nan)\n"
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, self.GOOD + ["--json"])

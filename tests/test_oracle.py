@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxcalc.expression as expression
 import boxcalc.oracle as oracle
 from boxcalc import (
     BudgetExceededError,
     DomainError,
+    EvalError,
     Hypercuboid,
     MonteCarloEstimate,
     QuadratureConfig,
@@ -188,6 +190,73 @@ class TestGaussLegendreBox:
         assert np.array_equal(np.concatenate(points), want_points)
         assert np.array_equal(np.concatenate(values), want_weights)
         assert got == math.fsum(want_weights) + 0.0
+
+    _PATH_CASES = [
+        # (expression, box, rule): 2-d rows of 48 points, 3-d rows of 20 points.
+        ("sin(x1)*exp(x2)+x1^2/(1+x2^0.5)", ((Fraction(-1, 2), 0), (2, Fraction(3, 4))), QuadratureConfig()),
+        ("exp(x1-x2)*cos(x3)+pi*x3^2-x1^-1", ((0, -1, 0.5), (1, 1, 2)), QuadratureConfig(nodes=5, panels=4)),
+    ]
+
+    @pytest.mark.parametrize(
+        "case, block",
+        [(0, 37), (0, 1), (0, 100), (1, 13), (1, 150), (0, 1 << 20), (1, 1 << 20)],
+        ids=["2d-block37", "2d-block1", "2d-block100", "3d-block13", "3d-block150", "2d-whole", "3d-whole"],
+    )
+    def test_expression_grid_path_matches_the_dense_path(self, monkeypatch, case, block):
+        expr, box, cfg = self._PATH_CASES[case]
+        f = field_from_expression(expr, len(box[0]))
+        dense = field_from_callable(f.evaluate, arity=f.arity, batch=True)
+        box = Hypercuboid(*box)
+        monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
+        exact_parts = oracle._exact_parts
+
+        def reduced(field):
+            values = []
+
+            def record(weighted):
+                values.append(weighted.copy())
+                return exact_parts(weighted)
+
+            monkeypatch.setattr(oracle, "_exact_parts", record)
+            value = gauss_legendre_box(field, box, cfg)
+            return value, np.concatenate(values)
+
+        grid_value, grid_terms = reduced(f)
+        dense_value, dense_terms = reduced(dense)
+        assert grid_terms.tobytes() == dense_terms.tobytes()
+        assert grid_value == dense_value
+
+    @pytest.mark.parametrize(
+        "expr, dim, cfg",
+        [
+            ("log(x1-0.5)*x2", 2, QuadratureConfig()),
+            ("x2/(x1-0.5)", 2, QuadratureConfig(nodes=5, panels=1)),
+            ("pow(x2-0.5,x1-1)", 2, QuadratureConfig()),
+            ("exp(900*x1)*x2", 2, QuadratureConfig()),
+            ("x3*exp(1000)", 3, QuadratureConfig(nodes=5, panels=4)),
+        ],
+    )
+    @pytest.mark.parametrize("block", [1 << 20, 37, 1])
+    def test_expression_grid_path_fails_where_the_dense_path_does(self, monkeypatch, expr, dim, cfg, block):
+        f = field_from_expression(expr, dim)
+        dense = field_from_callable(f.evaluate, arity=dim, batch=True)
+        box = Hypercuboid((0.0,) * dim, (1.0,) * dim)
+        monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
+        with pytest.raises(EvalError) as grid_error:
+            gauss_legendre_box(f, box, cfg)
+        with pytest.raises(EvalError) as dense_error:
+            gauss_legendre_box(dense, box, cfg)
+        assert str(grid_error.value) == str(dense_error.value)
+        assert grid_error.value.point == dense_error.value.point
+
+    def test_expression_fields_never_build_the_point_array(self, monkeypatch):
+        def refuse(node, points):
+            raise AssertionError(f"evaluate_batch called with points of shape {np.shape(points)}")
+
+        f = field_from_expression("x1*exp(x2)*x3", 3)
+        monkeypatch.setattr(expression, "evaluate_batch", refuse)
+        got = gauss_legendre_box(f, Hypercuboid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+        assert got == pytest.approx(0.25 * (math.e - 1), rel=1e-14)
 
     def test_deterministic(self):
         f = field_from_expression("exp(x1*x2)", 2)
