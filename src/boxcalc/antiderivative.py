@@ -1,10 +1,12 @@
 """Scalar fields, numeric antiderivatives, and mixed-partial verification.
 
-A ScalarField evaluates batches of points through one vectorized callable, so
-quadrature tensor grids cost one call.  The numeric antiderivative of f based
-at a corner a is F(x) = integral of f over the sub-box [a, x]; its mixed
-partial (one derivative per axis) recovers f, which check_antiderivative
-verifies on an interior grid with central differences.
+A ScalarField is any function of n variables, the antiderivatives included.
+It evaluates one vectorized callable on coordinate columns that broadcast
+together, so a batch of points or a slab of a quadrature tensor grid costs
+one call.  The numeric antiderivative of f based at a corner a is
+F(x) = integral of f over the sub-box [a, x]; its mixed partial (one
+derivative per axis) recovers f, which check_antiderivative verifies on an
+interior grid with central differences.
 """
 
 from __future__ import annotations
@@ -27,19 +29,20 @@ _GAUGE_SPOT_SEED = 177113
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real-valued function of `arity` real variables with batch evaluation.
+    """Real-valued function of `arity` real variables, evaluated on coordinate columns.
 
-    `fn` maps an array of shape (count, arity) to an array of shape (count,).
-    Evaluation is deterministic: the same points produce bitwise the same
-    values.  `tag` records provenance (expression, polynomial, builtin,
-    pullback, numeric-antiderivative, gauge-shifted).  Fields built from an
-    expression also evaluate a cubature grid straight from its per-axis
-    coordinates (see gauss_legendre_box); every other field gets the grid's
-    points as rows.
+    `fn` takes a tuple of `arity` arrays, column j holding the values of
+    x{j+1}, that broadcast together, and returns the values at their
+    broadcast shape.  The columns may be those of a (count, arity) batch
+    of points, or each axis's nodes of a tensor grid shaped to lie along
+    its own axis (see gauss_legendre_box).  Evaluation is deterministic:
+    the same points produce bitwise the same values, however they are
+    batched or broadcast.  `tag` records provenance (expression,
+    polynomial, builtin, pullback, numeric-antiderivative, gauge-shifted).
     """
 
     arity: int
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[tuple[np.ndarray, ...]], np.ndarray]
     tag: str = "builtin"
 
     def __post_init__(self) -> None:
@@ -47,63 +50,24 @@ class ScalarField:
             raise DomainError(f"arity must be nonnegative, got {self.arity}")
 
     def evaluate(self, points) -> np.ndarray:
+        """Values at a batch of points, shape (count, arity) -> shape (count,)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise DomainError(
                 f"points must have shape (count, {self.arity}), got {pts.shape}"
             )
-        out = np.asarray(self.fn(pts), dtype=float)
-        if out.shape != (pts.shape[0],):
+        out = np.asarray(self.fn(tuple(pts.T)), dtype=float)
+        if self.arity == 0:
+            # No column carries the batch's length: a constant has shape ().
+            out = np.broadcast_to(out, pts.shape[:1])
+        if out.shape != pts.shape[:1]:
             raise DomainError(
                 f"field returned shape {out.shape}, expected ({pts.shape[0]},)"
             )
         return out
 
     def __call__(self, point: Sequence[float]) -> float:
-        pts = np.asarray(tuple(float(c) for c in point), dtype=float).reshape(1, -1)
-        return float(self.evaluate(pts)[0])
-
-
-@dataclass(frozen=True)
-class Antiderivative:
-    """A scalar field known to be an antiderivative.
-
-    `corner` is the base corner used by the numeric construction; None marks
-    a user-supplied antiderivative with no known base.
-    """
-
-    field: ScalarField
-    corner: tuple[float, ...] | None = None
-
-    @property
-    def arity(self) -> int:
-        return self.field.arity
-
-    def evaluate(self, points) -> np.ndarray:
-        return self.field.evaluate(points)
-
-    def __call__(self, point: Sequence[float]) -> float:
-        return self.field(point)
-
-
-def as_field(f) -> ScalarField:
-    """Accept a ScalarField or an Antiderivative wherever a field is needed."""
-    if isinstance(f, ScalarField):
-        return f
-    if isinstance(f, Antiderivative):
-        return f.field
-    raise TypeError(f"expected ScalarField or Antiderivative, got {type(f).__name__}")
-
-
-@dataclass(frozen=True)
-class _ExpressionField(ScalarField):
-    """A field whose values come from an expression tree."""
-
-    node: ex.Expr | None = None
-
-    def _evaluate_grid(self, columns) -> np.ndarray:
-        """Values on the grid the per-axis coordinate arrays span by broadcasting."""
-        return ex.evaluate_grid(self.node, columns)
+        return float(self.evaluate(np.array([[float(c) for c in point]]))[0])
 
 
 def field_from_expression(source, arity: int | None = None, tag: str = "expression") -> ScalarField:
@@ -115,21 +79,21 @@ def field_from_expression(source, arity: int | None = None, tag: str = "expressi
     else:
         node = source
         if arity is None:
-            arity = polycalc._max_var_index(node)
-    return _ExpressionField(arity, lambda pts: ex.evaluate_batch(node, pts), tag=tag, node=node)
+            arity = ex.max_var_index(node)
+    return ScalarField(arity, lambda columns: ex.evaluate_grid(node, columns), tag=tag)
 
 
 def field_from_polynomial(p: polycalc.Polynomial) -> ScalarField:
     """Floating-point view of an exact polynomial."""
     terms = [(exps, float(coeff)) for exps, coeff in p.terms.items()]
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[0])
+    def fn(columns) -> np.ndarray:
+        out = np.zeros(ex.broadcast_shape(columns))
         for exps, coeff in terms:
-            piece = np.full(pts.shape[0], coeff)
-            for j, k in enumerate(exps):
+            piece = np.float64(coeff)
+            for column, k in zip(columns, exps):
                 if k:
-                    piece = piece * pts[:, j] ** k
+                    piece = piece * column**k
             out = out + piece
         return out
 
@@ -137,19 +101,27 @@ def field_from_polynomial(p: polycalc.Polynomial) -> ScalarField:
 
 
 def field_from_callable(fn, arity: int, tag: str = "builtin", batch: bool = False) -> ScalarField:
-    """Field from a plain Python function.
+    """Field from a plain Python function of stacked points.
 
     With batch=False, `fn` takes one point tuple and returns a float; it is
     wrapped in a per-row loop.  With batch=True, `fn` already maps a
-    (count, arity) array to a (count,) array.
+    (count, arity) array to a (count,) array.  The field stacks its
+    coordinate columns into such rows, in C order of their broadcast shape.
     """
-    if batch:
-        return ScalarField(arity, fn, tag=tag)
 
-    def rowwise(pts: np.ndarray) -> np.ndarray:
-        return np.array([float(fn(tuple(row))) for row in pts])
+    def on_columns(columns) -> np.ndarray:
+        shape = ex.broadcast_shape(columns)
+        points = np.empty(shape + (arity,))
+        for j, column in enumerate(columns):
+            points[..., j] = column
+        rows = points.reshape(math.prod(shape), arity)
+        values = fn(rows) if batch else [float(fn(tuple(row))) for row in rows]
+        values = np.asarray(values, dtype=float)
+        if values.shape != rows.shape[:1]:
+            raise DomainError(f"field returned shape {values.shape}, expected {rows.shape[:1]}")
+        return values.reshape(shape)
 
-    return ScalarField(arity, rowwise, tag=tag)
+    return ScalarField(arity, on_columns, tag=tag)
 
 
 def _builtin_text(name: str, arity: int) -> str:
@@ -183,23 +155,20 @@ def builtin_field(name: str, arity: int) -> ScalarField:
 
 def numeric_antiderivative(
     f: ScalarField, corner, quad: QuadratureConfig | None = None
-) -> Antiderivative:
-    """Antiderivative of f based at `corner`: F(x) = integral of f over [corner, x].
+) -> ScalarField:
+    """The antiderivative of f based at `corner`: F(x) = integral of f over [corner, x].
 
     F is exactly 0.0 whenever some coordinate of x equals the matching corner
     coordinate, and rejects points below the corner.  Each evaluation runs
     one tensor-product quadrature over the sub-box, so accuracy and cost
-    follow `quad`.
+    follow `quad`.  F is a ScalarField tagged numeric-antiderivative.
     """
-    f = as_field(f)
     base = tuple(float(c) for c in corner)
     if len(base) != f.arity:
         raise DomainError(f"corner has {len(base)} coordinates, field arity is {f.arity}")
     cfg = quad or QuadratureConfig()
 
     def value_at(point: tuple[float, ...]) -> float:
-        if len(point) != len(base):
-            raise DomainError(f"point has {len(point)} coordinates, need {len(base)}")
         for j, (a, x) in enumerate(zip(base, point), start=1):
             if x < a:
                 raise DomainError(
@@ -209,11 +178,7 @@ def numeric_antiderivative(
             return 0.0
         return gauss_legendre_box(f, Hypercuboid(base, point), cfg)
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return np.array([value_at(tuple(row)) for row in pts])
-
-    field = ScalarField(f.arity, fn, tag="numeric-antiderivative")
-    return Antiderivative(field=field, corner=base)
+    return field_from_callable(value_at, f.arity, tag="numeric-antiderivative")
 
 
 def _check_steps(h: tuple[float, ...]) -> None:
@@ -229,7 +194,6 @@ def mixed_partial(F, x, h) -> float:
     x_j + h_j], divided by prod_j (2 h_j).  Second-order accurate; exact for
     multilinear F up to rounding.
     """
-    F = as_field(F)
     x = tuple(float(c) for c in x)
     h = tuple(float(c) for c in h)
     if len(x) != F.arity or len(h) != F.arity:
@@ -279,8 +243,6 @@ def check_antiderivative(
     |diff| / max(1, |f(x)|); the check passes when the largest relative
     deviation stays within `tol`.
     """
-    f = as_field(f)
-    F = as_field(F)
     n = box.dim
     if f.arity != n or F.arity != n:
         raise DomainError(f"field arities must match the box dimension {n}")
@@ -346,8 +308,6 @@ def gauge_add(
     unit box by default) with a fixed seed, so the check is probabilistic
     but deterministic.  A detected dependence raises GaugeDependenceError.
     """
-    F = as_field(F)
-    C = as_field(C)
     n = F.arity
     if C.arity != n:
         raise DomainError(f"arity mismatch: F has {n}, C has {C.arity}")
@@ -379,7 +339,4 @@ def gauge_add(
                 f"(spot-check deviation {gap:.3e})"
             )
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return F.evaluate(pts) + C.evaluate(pts)
-
-    return ScalarField(n, fn, tag="gauge-shifted")
+    return ScalarField(n, lambda columns: F.fn(columns) + C.fn(columns), tag="gauge-shifted")

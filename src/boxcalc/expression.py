@@ -309,12 +309,11 @@ def _power(base, expo, node: Expr, columns) -> np.ndarray:
     if expo.shape != shape or not shape:
         expo = np.full(shape or 1, expo)
     out = np.power(base, expo)
-    bad = ~np.isfinite(out)
-    if bad.any():
+    if not np.isfinite(out).all():
         raise EvalError(
             "non-finite power (overflow or zero to a negative exponent)",
             node,
-            _point(bad, columns),
+            _point(~np.isfinite(out), columns),
         )
     return out if shape else out[0]
 
@@ -363,9 +362,8 @@ def _eval(node: Expr, columns: tuple[np.ndarray, ...]):
             return np.tan(v)
         if node.name == "exp":
             out = np.exp(v)
-            bad = ~np.isfinite(out)
-            if bad.any():
-                raise EvalError("overflow in exp", node, _point(bad, columns))
+            if not np.isfinite(out).all():
+                raise EvalError("overflow in exp", node, _point(~np.isfinite(out), columns))
             return out
         if node.name == "log":
             bad = v <= 0.0
@@ -398,6 +396,11 @@ def _subtrees(node: Expr):
             yield from _subtrees(arg)
 
 
+def max_var_index(node: Expr) -> int:
+    """Largest variable index the tree reads; 0 when it reads none."""
+    return max((sub.index for sub in _subtrees(node) if isinstance(sub, Var)), default=0)
+
+
 def _evaluate(node: Expr, columns: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
     if 0 in shape:
         # No point to evaluate at: only a missing coordinate is an error.
@@ -409,12 +412,19 @@ def _evaluate(node: Expr, columns: tuple[np.ndarray, ...], shape: tuple[int, ...
     # warnings would only repeat the EvalError.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _eval(node, columns)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise EvalError("non-finite result", node, _point(bad, columns))
+    # One ufunc fewer on the common path than testing the complement.
+    if not np.isfinite(out).all():
+        raise EvalError("non-finite result", node, _point(~np.isfinite(out), columns))
     if out.shape != shape:
         out = np.full(shape, out)
     return out
+
+
+def broadcast_shape(columns) -> tuple[int, ...]:
+    """The shape that coordinate arrays broadcast to."""
+    shapes = {c.shape for c in columns}
+    # The columns of a batch share one shape; only a grid pays for broadcast_shapes.
+    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
 
 def evaluate_grid(node: Expr, columns) -> np.ndarray:
@@ -427,8 +437,8 @@ def evaluate_grid(node: Expr, columns) -> np.ndarray:
     point an EvalError names, equals what evaluate_batch gives on the
     materialised points, bit for bit.
     """
-    columns = tuple(np.asarray(c, dtype=float) for c in columns)
-    return _evaluate(node, columns, np.broadcast_shapes(*(c.shape for c in columns)))
+    columns = tuple([np.asarray(c, dtype=float) for c in columns])
+    return _evaluate(node, columns, broadcast_shape(columns))
 
 
 def evaluate_batch(node: Expr, points) -> np.ndarray:

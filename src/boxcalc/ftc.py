@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import (
-    Antiderivative,
-    ScalarField,
-    as_field,
-    numeric_antiderivative,
-)
+from .antiderivative import ScalarField, field_from_callable, numeric_antiderivative
 from .errors import BoxcalcError, DomainError, InternalCheckError
 from .geometry import (
     Hypercuboid,
@@ -99,16 +94,15 @@ def integrate_box(F, box: Hypercuboid) -> IntegralResult:
     contributions are bitwise identical and the exact sum cancels them to
     0.0 pairwise rather than by rounding.
     """
-    field = as_field(F)
-    if field.arity != box.dim:
+    if F.arity != box.dim:
         raise DomainError(
-            f"antiderivative arity {field.arity} does not match box dimension {box.dim}"
+            f"antiderivative arity {F.arity} does not match box dimension {box.dim}"
         )
     cache: dict[tuple, float] = {}
     contributions = []
     for label, point in vertices_lex(box):
         if point not in cache:
-            cache[point] = field(point)
+            cache[point] = F(point)
         contributions.append((label, vertex_sign(label), cache[point]))
     value = math.fsum(sign * value for _, sign, value in contributions) + 0.0
     return IntegralResult(value=value, method="vertex-sum", contributions=tuple(contributions))
@@ -124,7 +118,7 @@ def integrate_box_from_f(
     asserted structurally.
     """
     corner = tuple(float(a) for a in box.lower)
-    F = numeric_antiderivative(as_field(f), corner, quad)
+    F = numeric_antiderivative(f, corner, quad)
     result = integrate_box(F, box)
     for label, _, value in result.contributions:
         if 0 in label.bits and value != 0.0:
@@ -156,7 +150,6 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
 
 def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
     """The integrand u -> f(origin + T u) * weight on the unit box."""
-    f = as_field(f)
     origin = np.asarray(tuple(float(c) for c in origin), dtype=float)
     matrix = np.asarray(matrix, dtype=float)
     weight = float(weight)
@@ -164,7 +157,7 @@ def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
     def fn(pts: np.ndarray) -> np.ndarray:
         return f.evaluate(origin + pts @ matrix.T) * weight
 
-    return ScalarField(f.arity, fn, tag="pullback")
+    return field_from_callable(fn, f.arity, tag="pullback", batch=True)
 
 
 def integrate_parallelotope(
@@ -181,7 +174,6 @@ def integrate_parallelotope(
     marked all-ones corner).  `order` optionally permutes the visit order of
     the 2**n vertices; the exact summation makes the value independent of it.
     """
-    f = as_field(f)
     n = p.dim
     if f.arity != n:
         raise DomainError(f"field arity {f.arity} does not match dimension {n}")
@@ -214,7 +206,6 @@ def check_segment_symmetry(
     d = (R - Q) / 2.  The tolerance is relative to the largest |f| seen on
     the samples.
     """
-    f = as_field(f)
     if f.arity != 2:
         raise DomainError(f"segment symmetry check needs arity 2, got {f.arity}")
     if samples < 1:
@@ -250,7 +241,6 @@ def mirror_extend(f, p, q, r) -> ScalarField:
     Requires f to be midpoint-symmetric along QR for the result to be
     well-defined on the seam.
     """
-    f = as_field(f)
     if f.arity != 2:
         raise DomainError(f"triangle machinery needs arity 2, got {f.arity}")
     pv = np.asarray(tuple(float(c) for c in p), dtype=float)
@@ -259,16 +249,16 @@ def mirror_extend(f, p, q, r) -> ScalarField:
     edge = rv - qv
     side_p = _cross2(edge, pv - qv)
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        rel = pts - qv
-        side = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+    def fn(columns) -> np.ndarray:
+        side = edge[0] * (columns[1] - qv[1]) - edge[1] * (columns[0] - qv[0])
         near = side * side_p >= 0.0
-        out = np.empty(pts.shape[0])
+        x1, x2 = (np.broadcast_to(c, near.shape) for c in columns)
+        out = np.empty(near.shape)
         if near.any():
-            out[near] = f.evaluate(pts[near])
+            out[near] = f.fn((x1[near], x2[near]))
         far = ~near
         if far.any():
-            out[far] = f.evaluate((qv + rv) - pts[far])
+            out[far] = f.fn(((qv[0] + rv[0]) - x1[far], (qv[1] + rv[1]) - x2[far]))
         return out
 
     return ScalarField(2, fn, tag="pullback")
@@ -299,7 +289,6 @@ def integrate_triangle_symmetric(
     precondition is sampled first: violations raise SymmetryError carrying
     the worst sample.
     """
-    f = as_field(f)
     pv = np.asarray(tuple(float(c) for c in p), dtype=float)
     qv = np.asarray(tuple(float(c) for c in q), dtype=float)
     rv = np.asarray(tuple(float(c) for c in r), dtype=float)

@@ -131,11 +131,6 @@ class Hypercuboid:
         return tuple(b if bit else a for a, b, bit in zip(self.lower, self.upper, bits))
 
 
-def make_hypercuboid(lower: Sequence, upper: Sequence) -> Hypercuboid:
-    """Validated box from per-axis bounds."""
-    return Hypercuboid(tuple(lower), tuple(upper))
-
-
 def vertices_lex(box: Hypercuboid) -> list[tuple[VertexLabel, tuple]]:
     """All 2**n vertices with labels, ordered by label read as an integer."""
     n = box.dim
@@ -250,22 +245,3 @@ class Parallelotope:
             raise DomainError(f"label has {len(bits)} bits, need {self.dim}")
         point = np.asarray(self.origin) + self.matrix @ np.asarray(bits, dtype=float)
         return tuple(float(x) for x in point)
-
-
-def make_parallelotope(origin, edges, singular_rel_tol: float = 1e-12) -> Parallelotope:
-    """Parallelotope from an origin and an edge matrix whose columns span it."""
-    m = np.asarray(edges, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"edge matrix must be square, got shape {m.shape}")
-    if m.shape[0] != len(tuple(origin)):
-        raise DomainError("edge matrix size does not match the origin")
-    columns = tuple(tuple(m[:, j]) for j in range(m.shape[1]))
-    return Parallelotope(tuple(origin), columns, singular_rel_tol)
-
-
-def parallelotope_vertices(p: Parallelotope) -> list[tuple[VertexLabel, tuple]]:
-    """All 2**n parallelotope vertices with labels, in canonical label order."""
-    return [
-        (label, p.vertex_point(label))
-        for label in (VertexLabel.from_index(i, p.dim) for i in range(2**p.dim))
-    ]

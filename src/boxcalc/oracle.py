@@ -118,7 +118,9 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
     C order in slabs of at most _EVAL_BLOCK points, so memory stays bounded
     for large rules.  The value is the correctly rounded sum of all weighted
     integrand values over the whole grid, so it does not depend on the slab
-    size and is reproducible bit for bit.
+    size and is reproducible bit for bit.  `f` gets each slab's per-axis
+    coordinate columns (see ScalarField).  A sum that overflows or is not
+    finite raises DomainError.
     """
     cfg = cfg or QuadratureConfig()
     n = box.dim
@@ -130,27 +132,30 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
             f"({cfg.nodes}*{cfg.panels})^{n} evaluations exceed the budget {cfg.max_evals}"
         )
     rules = [_axis_rule(float(box.lower[j]), float(box.upper[j]), cfg) for j in range(n)]
-    parts = [
-        _exact_parts((weights * _grid_values(f, columns, weights.shape)).ravel())
-        for columns, weights in _grid_slabs(rules, _EVAL_BLOCK)
-    ]
-    return math.fsum(np.concatenate(parts)) + 0.0
+    parts = []
+    for columns, weights in _grid_slabs(rules, _EVAL_BLOCK):
+        values = _grid_values(f, columns, weights.shape)
+        # An overflow leaves a sum that is not finite, refused below.  Only
+        # this product runs under errstate: ufuncs are slower inside it.
+        # Rebinding frees the unweighted values before the extraction.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = weights * values
+        parts.append(_exact_parts(values.ravel()))
+    try:
+        total = math.fsum(np.concatenate(parts))
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise DomainError("Gauss-Legendre cubature: the weighted sum is not finite")
+    return total + 0.0
 
 
 def _grid_values(f, columns, shape: tuple[int, ...]) -> np.ndarray:
-    """f on one slab, at the slab's shape.
-
-    A field that evaluates coordinate columns itself (an expression field)
-    gets them as they are; any other field gets the slab's points stacked
-    into rows, in C order.
-    """
-    evaluate_grid = getattr(f, "_evaluate_grid", None)
-    if evaluate_grid is not None:
-        return evaluate_grid(columns)
-    points = np.empty(shape + (len(columns),))
-    for j, column in enumerate(columns):
-        points[..., j] = column
-    return f.evaluate(points.reshape(-1, len(columns))).reshape(shape)
+    """f on one slab, from the slab's per-axis columns, at the slab's shape."""
+    values = np.asarray(f.fn(columns), dtype=float)
+    if values.shape != shape:
+        raise DomainError(f"field returned shape {values.shape}, expected {shape}")
+    return values
 
 
 def _grid_slabs(rules, block: int):
@@ -183,15 +188,17 @@ def _grid_slabs(rules, block: int):
         rows = len(rem)
         columns = []
         weights = np.ones(rows)
-        for j, (nodes, w) in enumerate(rules):
-            if j < lead:
-                columns.append(nodes[index[j]].reshape((rows,) + (1,) * k))
-                weights = weights * w[index[j]]
-            else:
-                shape = [1] * (k + 1)
-                shape[j - lead + 1] = per_axis
-                columns.append(nodes.reshape(shape))
-                weights = np.multiply.outer(weights, w)
+        # Weights that overflow leave a sum that is not finite, refused by the caller.
+        with np.errstate(over="ignore"):
+            for j, (nodes, w) in enumerate(rules):
+                if j < lead:
+                    columns.append(nodes[index[j]].reshape((rows,) + (1,) * k))
+                    weights = weights * w[index[j]]
+                else:
+                    shape = [1] * (k + 1)
+                    shape[j - lead + 1] = per_axis
+                    columns.append(nodes.reshape(shape))
+                    weights = np.multiply.outer(weights, w)
         yield tuple(columns), weights
 
 

@@ -141,18 +141,6 @@ class Polynomial:
         return out
 
 
-def _max_var_index(node: ex.Expr) -> int:
-    if isinstance(node, ex.Var):
-        return node.index
-    if isinstance(node, ex.Neg):
-        return _max_var_index(node.operand)
-    if isinstance(node, ex.BinOp):
-        return max(_max_var_index(node.left), _max_var_index(node.right))
-    if isinstance(node, ex.Call):
-        return max((_max_var_index(a) for a in node.args), default=0)
-    return 0
-
-
 def _int_exponent(p: Polynomial) -> int:
     if not p.is_constant():
         raise NonPolynomialError("exponent must be a constant")
@@ -205,7 +193,7 @@ def poly_from_expr(node: ex.Expr, arity: int | None = None) -> Polynomial:
     division by a nonzero constant.  Anything else raises
     NonPolynomialError.
     """
-    top = _max_var_index(node)
+    top = ex.max_var_index(node)
     if arity is None:
         arity = top
     elif top > arity:

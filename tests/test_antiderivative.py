@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from boxcalc import (
-    Antiderivative,
     DomainError,
     GaugeDependenceError,
     Hypercuboid,
     QuadratureConfig,
     ScalarField,
-    as_field,
     builtin_field,
     builtin_names,
     check_antiderivative,
@@ -45,18 +43,15 @@ class TestScalarField:
         with pytest.raises(DomainError):
             f.evaluate(np.zeros((4, 2)))
 
+    def test_field_of_no_variables_is_a_constant(self):
+        f = field_from_expression(parse("2.5", 0))
+        assert f.arity == 0
+        assert f(()) == 2.5
+        assert list(f.evaluate(np.zeros((3, 0)))) == [2.5, 2.5, 2.5]
+
     def test_negative_arity_rejected(self):
         with pytest.raises(DomainError):
             ScalarField(-1, lambda pts: pts[:, 0])
-
-    def test_as_field(self):
-        f = field_from_expression("x1", 1)
-        assert as_field(f) is f
-        F = numeric_antiderivative(f, (0.0,))
-        assert isinstance(F, Antiderivative)
-        assert as_field(F) is F.field
-        with pytest.raises(TypeError, match="expected ScalarField or Antiderivative"):
-            as_field(lambda x: x)
 
 
 class TestFieldConstructors:
@@ -161,8 +156,7 @@ class TestNumericAntiderivative:
         f = field_from_expression("x1*x2", 2)
         F = numeric_antiderivative(f, (0, 0), QuadratureConfig(nodes=6, panels=1))
         assert F.arity == 2
-        assert F.corner == (0.0, 0.0)
-        assert F.field.tag == "numeric-antiderivative"
+        assert F.tag == "numeric-antiderivative"
 
     def test_corner_length_check(self):
         with pytest.raises(DomainError, match="corner has 2 coordinates"):

@@ -154,6 +154,23 @@ class TestIntegrate:
             "at point (0.7787621657257119, 0.9976950792808399)\n"
         )
 
+    @pytest.mark.parametrize(
+        "f, box", [("1e300+x1", "0:1e10"), ("x1", "0:1e200,0:1e200")], ids=["sum", "weights"]
+    )
+    def test_cubature_overflow_prints_only_the_error_line(self, f, box):
+        env = dict(os.environ, PYTHONWARNINGS="default")
+        src = str(Path(boxcalc.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxcalc.cli", "integrate", "--f", f, "--box", box],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: Gauss-Legendre cubature: the weighted sum is not finite\n"
+
     def test_bad_quadrature_request_exits_3(self, capsys):
         code, _, err = run(
             capsys, ["integrate", "--f", "x1", "--box", "0:1", "--verify", "--order", "40"]

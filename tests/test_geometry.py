@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from boxcalc import (
@@ -12,9 +11,6 @@ from boxcalc import (
     checked_determinant,
     count_zeros,
     graph_distance,
-    make_hypercuboid,
-    make_parallelotope,
-    parallelotope_vertices,
     subdivide_grid,
     vertex_sign,
     vertices_lex,
@@ -85,7 +81,7 @@ def test_graph_distance_equals_zero_count_against_all_ones():
 
 
 def test_hypercuboid_basic():
-    box = make_hypercuboid((0, -1), (2, 3))
+    box = Hypercuboid((0, -1), (2, 3))
     assert box.dim == 2
     assert box.extents() == (2, 4)
     assert box.volume() == 8
@@ -115,14 +111,14 @@ def test_degenerate_axis_allowed():
 
 
 def test_vertices_lex_order():
-    box = make_hypercuboid((0, 0), (1, 2))
+    box = Hypercuboid((0, 0), (1, 2))
     got = vertices_lex(box)
     assert [str(label) for label, _ in got] == ["00", "01", "10", "11"]
     assert [point for _, point in got] == [(0, 0), (0, 2), (1, 0), (1, 2)]
 
 
 def test_subdivide_grid_structure():
-    box = make_hypercuboid((0, 0), (4, 2))
+    box = Hypercuboid((0, 0), (4, 2))
     parts = subdivide_grid(box, [[1, 3], [1]])
     assert len(parts) == 6
     assert sum(p.volume() for p in parts) == box.volume()
@@ -133,7 +129,7 @@ def test_subdivide_grid_structure():
 
 
 def test_subdivide_grid_validation():
-    box = make_hypercuboid((0,), (1,))
+    box = Hypercuboid((0,), (1,))
     with pytest.raises(DomainError, match="axis 1"):
         subdivide_grid(box, [[0]])
     with pytest.raises(DomainError, match="strictly increasing"):
@@ -143,7 +139,7 @@ def test_subdivide_grid_validation():
 
 
 def test_subdivide_no_cuts_is_identity():
-    box = make_hypercuboid((0, 0), (1, 1))
+    box = Hypercuboid((0, 0), (1, 1))
     assert subdivide_grid(box, [[], []]) == [box]
 
 
@@ -172,30 +168,15 @@ def test_parallelotope_vertices_and_volume():
     assert str(p.marked) == "11"
 
 
-def test_make_parallelotope_takes_columns():
-    p = make_parallelotope((0.0, 0.0), [[2.0, 1.0], [0.0, 1.0]])
-    assert p.columns == ((2.0, 0.0), (1.0, 1.0))
-    assert np.allclose(p.matrix, [[2.0, 1.0], [0.0, 1.0]])
-
-
 def test_parallelotope_rejects_singular_and_ragged():
     with pytest.raises(DomainError, match="singular"):
         Parallelotope.from_edge_vectors((0.0, 0.0), ((1.0, 0.0), (2.0, 0.0)))
     with pytest.raises(DomainError):
         Parallelotope.from_edge_vectors((0.0, 0.0), ((1.0, 0.0),))
-    with pytest.raises(DomainError):
-        make_parallelotope((0.0, 0.0), [[1.0, 0.0]])
-
-
-def test_parallelotope_vertex_listing():
-    p = Parallelotope.from_edge_vectors((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))
-    got = parallelotope_vertices(p)
-    assert [str(label) for label, _ in got] == ["00", "01", "10", "11"]
-    assert got[3][1] == (2.0, 2.0)
 
 
 def test_axis_parallel_embedding_volume():
-    box = make_hypercuboid((1.0, -1.0, 0.0), (2.0, 1.0, 0.5))
+    box = Hypercuboid((1.0, -1.0, 0.0), (2.0, 1.0, 0.5))
     p = Parallelotope.from_edge_vectors(
         box.lower, tuple(tuple(e if i == j else 0.0 for i in range(3)) for j, e in enumerate(box.extents()))
     )

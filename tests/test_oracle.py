@@ -20,11 +20,16 @@ from boxcalc import (
     field_from_callable,
     field_from_expression,
     field_from_polynomial,
+    gauge_add,
     gauss_legendre_box,
     legendre_rule,
+    mirror_extend,
     monomial_product_integral,
     monte_carlo_affine,
+    numeric_antiderivative,
+    parse,
     poly_from_expr,
+    pullback_field,
 )
 from helpers import random_polynomial, random_rational_box, rel_err
 
@@ -90,6 +95,26 @@ class TestQuadratureConfig:
     def test_validation(self, bad):
         with pytest.raises(DomainError):
             QuadratureConfig(**bad)
+
+
+_FIELD_KINDS = ("expression", "polynomial", "pullback", "mirror-extension", "gauge-shifted", "numeric-F")
+_CASE_BLOCKS = {
+    "2d-block37": (0, 37),
+    "2d-block1": (0, 1),
+    "2d-block100": (0, 100),
+    "3d-block13": (1, 13),
+    "3d-block150": (1, 150),
+    "2d-whole": (0, 1 << 20),
+    "3d-whole": (1, 1 << 20),
+}
+# The mirror extension exists in 2-d only; a numeric F runs one cubature per
+# point, which the 3-d grid's 8000 points make slow.
+_PATH_PARAMS = [
+    pytest.param(kind, case, block, id=f"{kind}-{name}")
+    for kind in _FIELD_KINDS
+    for name, (case, block) in _CASE_BLOCKS.items()
+    if kind not in ("mirror-extension", "numeric-F") or case == 0
+]
 
 
 class TestGaussLegendreBox:
@@ -192,19 +217,46 @@ class TestGaussLegendreBox:
         assert got == math.fsum(want_weights) + 0.0
 
     _PATH_CASES = [
-        # (expression, box, rule): 2-d rows of 48 points, 3-d rows of 20 points.
-        ("sin(x1)*exp(x2)+x1^2/(1+x2^0.5)", ((Fraction(-1, 2), 0), (2, Fraction(3, 4))), QuadratureConfig()),
-        ("exp(x1-x2)*cos(x3)+pi*x3^2-x1^-1", ((0, -1, 0.5), (1, 1, 2)), QuadratureConfig(nodes=5, panels=4)),
+        # (expression, polynomial, box, rule): 2-d rows of 48 points, 3-d rows of 20 points.
+        (
+            "sin(x1)*exp(x2)+x1^2/(1+x2^0.5)",
+            "3*x1^3*x2-x2^2/7+x1-0.3",
+            ((Fraction(-1, 2), 0), (2, Fraction(3, 4))),
+            QuadratureConfig(),
+        ),
+        (
+            "exp(x1-x2)*cos(x3)+pi*x3^2-x1^-1",
+            "x1^2*x3-2*x2^3*x3+x3^5/3",
+            ((0, -1, 0.5), (1, 1, 2)),
+            QuadratureConfig(nodes=5, panels=4),
+        ),
     ]
 
-    @pytest.mark.parametrize(
-        "case, block",
-        [(0, 37), (0, 1), (0, 100), (1, 13), (1, 150), (0, 1 << 20), (1, 1 << 20)],
-        ids=["2d-block37", "2d-block1", "2d-block100", "3d-block13", "3d-block150", "2d-whole", "3d-whole"],
-    )
-    def test_expression_grid_path_matches_the_dense_path(self, monkeypatch, case, block):
-        expr, box, cfg = self._PATH_CASES[case]
-        f = field_from_expression(expr, len(box[0]))
+    @classmethod
+    def _path_field(cls, kind, case):
+        """A field of the given kind, built on the case's expression or polynomial."""
+        expr, poly, box, _ = cls._PATH_CASES[case]
+        dim = len(box[0])
+        f = field_from_expression(expr, dim)
+        if kind == "polynomial":
+            return field_from_polynomial(poly_from_expr(parse(poly, dim), dim))
+        if kind == "pullback":
+            return pullback_field(f, (0.25,) * dim, 0.5 * np.eye(dim) + 0.1 * (1 - np.eye(dim)), 1.5)
+        if kind == "mirror-extension":
+            # The seam QR crosses the 2-d box; reflected points keep x2 >= 0.
+            return mirror_extend(f, (-0.5, 0.0), (2.0, 0.0), (-0.5, 0.75))
+        if kind == "gauge-shifted":
+            return gauge_add(f, field_from_expression("exp(x2)*x3" if dim == 3 else "exp(x2)", dim), [1])
+        if kind == "numeric-F":
+            return numeric_antiderivative(f, tuple(float(a) for a in box[0]), QuadratureConfig(nodes=2, panels=1))
+        return f
+
+    @pytest.mark.parametrize("kind, case, block", _PATH_PARAMS)
+    def test_expression_grid_path_matches_the_dense_path(self, monkeypatch, kind, case, block):
+        # Every field kind evaluates the grid's columns; the reference gets the
+        # same points stacked into rows through the field's own evaluate.
+        _, _, box, cfg = self._PATH_CASES[case]
+        f = self._path_field(kind, case)
         dense = field_from_callable(f.evaluate, arity=f.arity, batch=True)
         box = Hypercuboid(*box)
         monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
