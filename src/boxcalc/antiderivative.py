@@ -6,12 +6,12 @@ together, so a batch of points or a slab of a quadrature tensor grid costs
 one call.  The numeric antiderivative of f based at a corner a is
 F(x) = integral of f over the sub-box [a, x]; its mixed partial (one
 derivative per axis) recovers f, which check_antiderivative verifies on an
-interior grid with central differences.
+interior grid with central differences, evaluating F once on the tensor
+grid of all stencil corners.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 from . import expression as ex
 from . import polycalc
 from .errors import DomainError, GaugeDependenceError
-from .geometry import Hypercuboid, vertex_sign, vertices_lex
+from .geometry import Hypercuboid, vertex_signs
 from .oracle import QuadratureConfig, gauss_legendre_box
 
 _GAUGE_SPOT_SEED = 177113
@@ -181,10 +181,54 @@ def numeric_antiderivative(
     return field_from_callable(value_at, f.arity, tag="numeric-antiderivative")
 
 
+# Rows per evaluate() call on a tensor grid: the cubature's slab bound.
+_EVAL_BLOCK = 1 << 20
+
+
+def evaluate_on_grid(field, axes) -> np.ndarray:
+    """Values of a field on the tensor grid of per-axis coordinates.
+
+    `axes[j]` lists the coordinates of axis j+1; the result has shape
+    (len(axes[0]), ..., len(axes[-1])), in C order, so its flat order is
+    that of itertools.product(*axes).  The points go to `field.evaluate`
+    in C-order runs of at most _EVAL_BLOCK rows, so memory beyond the
+    values stays bounded.
+    """
+    axes = [np.asarray(axis, dtype=float) for axis in axes]
+    shape = tuple(len(axis) for axis in axes)
+    values = np.empty(math.prod(shape))
+    for start in range(0, values.size, _EVAL_BLOCK):
+        rem = np.arange(start, min(start + _EVAL_BLOCK, values.size))
+        points = np.empty((len(rem), len(axes)))
+        for j in reversed(range(len(axes))):
+            rem, index = np.divmod(rem, shape[j])
+            points[:, j] = axes[j][index]
+        values[start : start + len(points)] = field.evaluate(points)
+    return values.reshape(shape)
+
+
 def _check_steps(h: tuple[float, ...]) -> None:
     # Written so that NaN fails too: every comparison with NaN is false.
     if not all(0.0 < step < math.inf for step in h):
         raise DomainError(f"all steps h must be positive and finite, got h={h}")
+
+
+def _stencil_sums(F, centres, h) -> list[float]:
+    """mixed_partial of F at every point of the tensor grid of `centres`, in product order.
+
+    All stencil corners lie on one tensor grid, x - h_j and x + h_j for each
+    centre x on axis j, evaluated once.  Each point's value is the exact sum
+    of its 2**n signed corner values, divided by prod_j (2 h_j).
+    """
+    n = len(centres)
+    corners = [np.column_stack([c - step, c + step]).ravel() for c, step in zip(centres, h)]
+    values = evaluate_on_grid(F, corners)
+    # Axes (x1, bit1, ..., xn, bitn) -> rows in product order, columns in label order.
+    values = values.reshape(sum(((len(c), 2) for c in centres), ()))
+    values = values.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1, 2**n)
+    signs = np.array(vertex_signs(n), dtype=float)
+    scale = math.prod(2.0 * step for step in h)
+    return [math.fsum(row) / scale for row in (values * signs).tolist()]
 
 
 def mixed_partial(F, x, h) -> float:
@@ -192,19 +236,14 @@ def mixed_partial(F, x, h) -> float:
 
     Alternating vertex sum of F over the stencil box prod_j [x_j - h_j,
     x_j + h_j], divided by prod_j (2 h_j).  Second-order accurate; exact for
-    multilinear F up to rounding.
+    multilinear F up to rounding.  The 2**n corners take one F.evaluate.
     """
     x = tuple(float(c) for c in x)
     h = tuple(float(c) for c in h)
     if len(x) != F.arity or len(h) != F.arity:
         raise DomainError(f"point and steps must have {F.arity} coordinates")
     _check_steps(h)
-    box = Hypercuboid(
-        tuple(c - step for c, step in zip(x, h)),
-        tuple(c + step for c, step in zip(x, h)),
-    )
-    total = math.fsum(vertex_sign(label) * F(point) for label, point in vertices_lex(box))
-    return total / math.prod(2.0 * step for step in h)
+    return _stencil_sums(F, [np.array([c]) for c in x], h)[0]
 
 
 @dataclass(frozen=True)
@@ -241,7 +280,12 @@ def check_antiderivative(
     The grid has `grid_points` per axis, inset from the boundary by h, with
     h defaulting to 1e-3 of each axis extent.  Relative deviation is
     |diff| / max(1, |f(x)|); the check passes when the largest relative
-    deviation stays within `tol`.
+    deviation stays within `tol`.  F is evaluated once on the tensor grid
+    of all stencil corners, (2 * grid_points)**n points, and f once on the
+    grid, each in slabs (see evaluate_on_grid).  Every value, sum and
+    deviation equals that of one mixed_partial and one f call per grid
+    point, bit for bit, and ties for the worst point go to the first in
+    product order.
     """
     n = box.dim
     if f.arity != n or F.arity != n:
@@ -270,19 +314,21 @@ def check_antiderivative(
         if lo > hi:
             raise DomainError(f"axis {j}: stencil of half-width {step} escapes the box")
         axes.append(np.linspace(lo, hi, grid_points))
+    approx = _stencil_sums(F, axes, h)
+    exact = evaluate_on_grid(f, axes).ravel().tolist()
     max_abs = 0.0
     max_rel = -1.0
     worst = None
-    for point in itertools.product(*axes):
-        point = tuple(float(c) for c in point)
-        approx = mixed_partial(F, point, h)
-        exact = f(point)
-        abs_dev = abs(approx - exact)
-        rel_dev = abs_dev / max(1.0, abs(exact))
+    for k, (mixed, value) in enumerate(zip(approx, exact)):
+        abs_dev = abs(mixed - value)
+        rel_dev = abs_dev / max(1.0, abs(value))
         max_abs = max(max_abs, abs_dev)
         if rel_dev > max_rel:
             max_rel = rel_dev
-            worst = point
+            worst = k
+    if worst is not None:
+        index = np.unravel_index(worst, (grid_points,) * n)
+        worst = tuple(float(axis[i]) for axis, i in zip(axes, index))
     return CheckReport(
         passed=max_rel <= tol,
         max_abs_deviation=max_abs,

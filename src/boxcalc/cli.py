@@ -20,7 +20,7 @@ from . import antiderivative as ad
 from . import expression as ex
 from . import ftc, polycalc
 from .errors import BoxcalcError, DomainError
-from .geometry import Hypercuboid, Parallelotope, vertex_sign, vertices_lex
+from .geometry import Hypercuboid, Parallelotope, VertexLabel
 from .oracle import QuadratureConfig, gauss_legendre_box, monte_carlo_affine
 
 EXIT_OK = 0
@@ -197,16 +197,13 @@ def cmd_integrate(args):
     }
     if args.exact:
         poly = polycalc.poly_from_expr(_parse_source(source, n), n)
-        if args.f is not None:
-            value = polycalc.poly_box_integral(poly, box)
-            anti = polycalc.poly_antiderivative(poly, box.lower)
-        else:
-            value = polycalc.poly_vertex_sum(poly, box)
-            anti = poly
+        anti = poly if args.f is None else polycalc.poly_antiderivative(poly, box.lower)
         contribs = [
-            (label, vertex_sign(label), polycalc.poly_eval(anti, point))
-            for label, point in vertices_lex(box)
+            (VertexLabel(bits), sign, v) for bits, sign, v in polycalc.poly_vertex_values(anti, box)
         ]
+        value = sum((sign * v for _, sign, v in contribs), Fraction(0))
+        if args.f is not None:
+            value = polycalc.checked_box_integral(poly, box, value)
         result = {"value": str(value)}
         human = [f"value = {value}"]
         method = "vertex-sum-exact"

@@ -21,16 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import ScalarField, field_from_callable, numeric_antiderivative
+from .antiderivative import (
+    ScalarField,
+    evaluate_on_grid,
+    field_from_callable,
+    numeric_antiderivative,
+)
 from .errors import BoxcalcError, DomainError, InternalCheckError
 from .geometry import (
     Hypercuboid,
     Parallelotope,
     VertexLabel,
     graph_distance,
-    subdivide_grid,
+    grid_breakpoints,
     vertex_sign,
-    vertices_lex,
+    vertex_signs,
 )
 from .oracle import QuadratureConfig
 
@@ -90,22 +95,27 @@ def with_oracle(result: IntegralResult, oracle_value: float) -> IntegralResult:
 def integrate_box(F, box: Hypercuboid) -> IntegralResult:
     """Alternating vertex sum of an antiderivative over a box.
 
-    Coincident vertices (degenerate axes) are evaluated once, so their
-    contributions are bitwise identical and the exact sum cancels them to
-    0.0 pairwise rather than by rounding.
+    The distinct vertices take one F.evaluate.  Coincident vertices
+    (degenerate axes) are evaluated once, so their contributions are
+    bitwise identical and the exact sum cancels them to 0.0 pairwise
+    rather than by rounding.
     """
     if F.arity != box.dim:
         raise DomainError(
             f"antiderivative arity {F.arity} does not match box dimension {box.dim}"
         )
-    cache: dict[tuple, float] = {}
-    contributions = []
-    for label, point in vertices_lex(box):
-        if point not in cache:
-            cache[point] = F(point)
-        contributions.append((label, vertex_sign(label), cache[point]))
+    labels = [VertexLabel.from_index(i, box.dim) for i in range(2**box.dim)]
+    rows: dict[tuple[float, ...], int] = {}
+    index = [
+        rows.setdefault(tuple(float(c) for c in box.vertex_point(label)), len(rows))
+        for label in labels
+    ]
+    values = F.evaluate(np.array(list(rows))).tolist()
+    contributions = tuple(
+        (label, vertex_sign(label), values[i]) for label, i in zip(labels, index)
+    )
     value = math.fsum(sign * value for _, sign, value in contributions) + 0.0
-    return IntegralResult(value=value, method="vertex-sum", contributions=tuple(contributions))
+    return IntegralResult(value=value, method="vertex-sum", contributions=contributions)
 
 
 def integrate_box_from_f(
@@ -139,13 +149,31 @@ class CompositionalityReport:
 
 
 def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
-    """Compare the vertex sum over a box with the sum over its grid subdivision."""
-    parts = subdivide_grid(box, cuts)
-    lhs = integrate_box(F, box).value
-    rhs = math.fsum(integrate_box(F, piece).value for piece in parts) + 0.0
-    return CompositionalityReport(
-        lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), subboxes=len(parts)
+    """Compare the vertex sum over a box with the sum over its grid subdivision.
+
+    The cuts are validated as subdivide_grid does.  F is evaluated once on
+    the grid of breakpoints, (k1+1)...(kn+1) points for k_j cells on axis
+    j; the whole box's vertex sum and each cell's are then exact sums of
+    those values, and the right side is the exact sum of the cells' sums.
+    """
+    breakpoints = grid_breakpoints(box, cuts)
+    if F.arity != box.dim:
+        raise DomainError(
+            f"antiderivative arity {F.arity} does not match box dimension {box.dim}"
+        )
+    values = evaluate_on_grid(F, [[float(c) for c in bp] for bp in breakpoints])
+    labels = list(itertools.product((0, 1), repeat=box.dim))
+    signs = np.array(vertex_signs(box.dim), dtype=float)
+    # Row c holds cell c's corner values in label order, cells in product order.
+    corners = np.stack(
+        [values[tuple(slice(1, None) if bit else slice(-1) for bit in label)].ravel() for label in labels],
+        axis=1,
     )
+    cells = [math.fsum(cell) + 0.0 for cell in (corners * signs).tolist()]
+    whole = [values[tuple(-1 if bit else 0 for bit in label)] for label in labels]
+    lhs = math.fsum((whole * signs).tolist()) + 0.0
+    rhs = math.fsum(cells) + 0.0
+    return CompositionalityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), subboxes=len(cells))
 
 
 def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
@@ -183,14 +211,14 @@ def integrate_parallelotope(
     if sorted(indices) != list(range(2**n)):
         raise DomainError(f"order must be a permutation of 0..{2**n - 1}")
     marked = VertexLabel((1,) * n)
-    contributions = []
-    for i in indices:
-        label = VertexLabel.from_index(i, n)
-        sign = -1 if graph_distance(label, marked) % 2 else 1
-        value = F(tuple(float(b) for b in label.bits))
-        contributions.append((label, sign, value))
+    labels = [VertexLabel.from_index(i, n) for i in indices]
+    values = F.evaluate(np.array([label.bits for label in labels], dtype=float)).tolist()
+    contributions = tuple(
+        (label, -1 if graph_distance(label, marked) % 2 else 1, value)
+        for label, value in zip(labels, values)
+    )
     total = math.fsum(sign * value for _, sign, value in contributions) + 0.0
-    return IntegralResult(value=total, method="parallelotope", contributions=tuple(contributions))
+    return IntegralResult(value=total, method="parallelotope", contributions=contributions)
 
 
 def _cross2(u, v) -> float:

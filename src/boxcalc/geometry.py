@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,6 +80,11 @@ def vertex_sign(label) -> int:
     return -1 if count_zeros(label) % 2 else 1
 
 
+def vertex_signs(dim: int) -> list[int]:
+    """vertex_sign of every label of a dim-dimensional box, in label order."""
+    return [vertex_sign(VertexLabel.from_index(i, dim)) for i in range(2**dim)]
+
+
 def graph_distance(u, v) -> int:
     """Hamming distance between labels, i.e. edge-graph distance between vertices."""
     ub, vb = _bits(u), _bits(v)
@@ -141,13 +147,12 @@ def vertices_lex(box: Hypercuboid) -> list[tuple[VertexLabel, tuple]]:
     return out
 
 
-def subdivide_grid(box: Hypercuboid, cuts: Sequence[Sequence]) -> list[Hypercuboid]:
-    """Split a box along interior axis-aligned cut planes.
+def grid_breakpoints(box: Hypercuboid, cuts: Sequence[Sequence]) -> list[list]:
+    """Per-axis breakpoints [lower, *cuts, upper] of a grid subdivision.
 
     `cuts[j]` lists the cut coordinates for axis j+1.  Each list must be
     strictly increasing and lie strictly inside the open interval of its
-    axis.  Returns the full product grid of sub-boxes, axis 1 varying
-    slowest.
+    axis.  Bounds and cuts are kept as given, so rational grids stay exact.
     """
     if len(cuts) != box.dim:
         raise DomainError(f"expected {box.dim} cut lists, got {len(cuts)}")
@@ -163,6 +168,15 @@ def subdivide_grid(box: Hypercuboid, cuts: Sequence[Sequence]) -> list[Hypercubo
                     f"axis {j}: cuts must be strictly increasing, got {c0} then {c1}"
                 )
         breakpoints.append([a, *axis_cuts, b])
+    return breakpoints
+
+
+def subdivide_grid(box: Hypercuboid, cuts: Sequence[Sequence]) -> list[Hypercuboid]:
+    """Split a box along interior axis-aligned cut planes (see grid_breakpoints).
+
+    Returns the full product grid of sub-boxes, axis 1 varying slowest.
+    """
+    breakpoints = grid_breakpoints(box, cuts)
     boxes = []
     for cell in itertools.product(*(range(len(bp) - 1) for bp in breakpoints)):
         lo = tuple(bp[i] for bp, i in zip(breakpoints, cell))
@@ -175,17 +189,54 @@ def checked_determinant(matrix, rel_tol: float = 1e-12) -> float:
     """Determinant of a square matrix, rejecting numerically singular input.
 
     |det| must exceed rel_tol times the Frobenius norm raised to the
-    dimension, a scale-invariant cutoff.
+    dimension, a scale-invariant cutoff.  When the determinant or that power
+    of the norm leaves the normal floating-point range, the test runs on the
+    matrix rescaled by a power of two, which leaves the verdict unchanged
+    because the cutoff is homogeneous of degree n; a nonsingular matrix
+    whose determinant then overflows or underflows is refused as such.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"edge matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
-    det = float(np.linalg.det(m))
-    scale = float(np.linalg.norm(m)) ** n
-    if abs(det) <= rel_tol * scale:
+    if not np.isfinite(m).all():
+        raise DomainError("edge matrix entries must be finite")
+    det, cutoff = _det_and_cutoff(m, rel_tol)
+    if cutoff is not None:
+        singular = abs(det) <= cutoff
+    else:
+        # Scale the largest entry into [0.5, 1): exact, so only the exponent moves.
+        shift = math.frexp(float(np.max(np.abs(m))))[1]
+        scaled, cutoff = _det_and_cutoff(np.ldexp(m, -shift), rel_tol)
+        singular = cutoff is None or abs(scaled) <= cutoff
+        if not singular:
+            exponent = m.shape[0] * shift
+            with np.errstate(all="ignore"):
+                det = float(np.ldexp(scaled, exponent))
+            if not sys.float_info.min <= abs(det) < math.inf:
+                side = "overflows" if math.isinf(det) else "underflows"
+                magnitude = math.log10(abs(scaled)) + exponent * math.log10(2.0)
+                raise DomainError(
+                    f"edge matrix determinant about 1e{magnitude:+.0f} {side} the floating-point range"
+                )
+    if singular:
         raise DomainError(f"edge matrix is singular or nearly singular (det {det:.3g})")
     return det
+
+
+def _det_and_cutoff(m: np.ndarray, rel_tol: float) -> tuple[float, float | None]:
+    """numpy's det and the cutoff rel_tol * norm**n; None for the cutoff when
+    the det or norm**n is out of the normal range."""
+    # An overflow or underflow is detected below; numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(m))
+        norm = float(np.linalg.norm(m))
+    try:
+        scale = norm ** m.shape[0]
+    except OverflowError:
+        return det, None
+    if not (math.isfinite(det) and sys.float_info.min <= scale < math.inf):
+        return det, None
+    return det, rel_tol * scale
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,18 @@ This module is the exact reference oracle for the floating-point machinery:
 every coefficient is a fractions.Fraction and no floating point enters any
 computation here.  Decimal literals coming from parsed expressions are read
 as exact decimals ("0.25" means 1/4, "0.1" means 1/10).
+
+Evaluation reads each coordinate a/b through integer powers a**k * b**(K-k),
+shared by all terms and, in a vertex sum, by all vertices, and reduces one
+integer sum per point over one common denominator; the values are the same
+Fractions a term-by-term sum gives.  poly_vertex_values returns what the
+command line's exact route prints: each vertex's label bits, sign and value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -206,15 +213,36 @@ def poly_eval(p: Polynomial, point) -> Fraction:
     point = tuple(point)
     if len(point) != p.arity:
         raise DomainError(f"point has {len(point)} coordinates, arity is {p.arity}")
-    coords = [Fraction(x) for x in point]
-    total = Fraction(0)
-    for exps, coeff in p.terms.items():
-        v = coeff
-        for x, k in zip(coords, exps):
-            if k:
-                v *= x**k
-        total += v
-    return total
+    return _values_at(p, [[Fraction(x)] for x in point], [(0,) * p.arity])[0]
+
+
+def _values_at(p: Polynomial, axes, choices) -> list[Fraction]:
+    """Exact values of p at the points (axes[0][i_1], ..., axes[n-1][i_n]), (i_1, ..., i_n) in choices.
+
+    A coordinate x = a/b on an axis whose top exponent is K enters through
+    the integers a**k * b**(K - k), computed once for all points and terms,
+    so each value is one integer sum over one common denominator.
+    """
+    common = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms = [(exps, c.numerator * (common // c.denominator)) for exps, c in p.terms.items()]
+    tables = []
+    scales = []
+    for j, coords in enumerate(axes):
+        ks = {exps[j] for exps in p.terms}
+        top = max(ks, default=0)
+        tables.append([{k: x.numerator**k * x.denominator ** (top - k) for k in ks} for x in coords])
+        scales.append([x.denominator**top for x in coords])
+    values = []
+    for choice in choices:
+        chosen = [table[i] for table, i in zip(tables, choice)]
+        total = 0
+        for exps, v in terms:
+            for powers, k in zip(chosen, exps):
+                v *= powers[k]
+            total += v
+        scale = math.prod(s[i] for s, i in zip(scales, choice))
+        values.append(Fraction(total, common * scale))
+    return values
 
 
 def _integrate_axis(p: Polynomial, j: int, a: Fraction) -> Polynomial:
@@ -278,20 +306,25 @@ def _box_corners(box) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return lo, hi
 
 
-def poly_vertex_sum(p: Polynomial, box) -> Fraction:
-    """Alternating sum of p over the box vertices, exact.
+def poly_vertex_values(p: Polynomial, box) -> list[tuple[tuple[int, ...], int, Fraction]]:
+    """(bits, sign, exact value of p) at each box vertex, in label order.
 
-    The sign of a vertex is +1 when it uses an even number of lower bounds.
+    Bit k selects the lower (0) or upper (1) bound of axis k, bit 1 varying
+    slowest; the sign is +1 when the vertex uses an even number of lower
+    bounds.  Each bound's powers are computed once, for all vertices and
+    terms.
     """
     lo, hi = _box_corners(box)
     if len(lo) != p.arity:
         raise DomainError(f"box has {len(lo)} axes, arity is {p.arity}")
-    total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=len(lo)):
-        sign = -1 if bits.count(0) % 2 else 1
-        point = tuple(b if bit else a for a, b, bit in zip(lo, hi, bits))
-        total += sign * poly_eval(p, point)
-    return total
+    labels = list(itertools.product((0, 1), repeat=len(lo)))
+    values = _values_at(p, list(zip(lo, hi)), labels)
+    return [(bits, -1 if bits.count(0) % 2 else 1, v) for bits, v in zip(labels, values)]
+
+
+def poly_vertex_sum(p: Polynomial, box) -> Fraction:
+    """Alternating sum of p over the box vertices, exact (see poly_vertex_values)."""
+    return sum((sign * value for _, sign, value in poly_vertex_values(p, box)), Fraction(0))
 
 
 def vertex_sum_integral(p: Polynomial, box) -> Fraction:
@@ -324,7 +357,15 @@ def poly_box_integral(p: Polynomial, box) -> Fraction:
     route two integrates each monomial as a product of 1-d integrals.  A
     mismatch means a bug in this module, never bad input.
     """
-    via_vertices = vertex_sum_integral(p, box)
+    return checked_box_integral(p, box, vertex_sum_integral(p, box))
+
+
+def checked_box_integral(p: Polynomial, box, via_vertices: Fraction) -> Fraction:
+    """`via_vertices`, once it equals the integral of p by monomial products.
+
+    The caller's vertex sum of the exact antiderivative is route one of
+    poly_box_integral; a mismatch raises InternalCheckError.
+    """
     via_products = monomial_product_integral(p, box)
     if via_vertices != via_products:
         raise InternalCheckError(

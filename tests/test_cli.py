@@ -19,6 +19,18 @@ def run(capsys, args):
 TRI_FAST = ["--order", "12", "--panels", "16"]
 
 
+def run_process(args):
+    """The CLI as its own process, so that a leaked numpy RuntimeWarning would
+    reach stderr the way a user sees it."""
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    src = str(Path(boxcalc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxcalc.cli", *args], capture_output=True, text=True, timeout=60, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestIntegrate:
     def test_human_golden(self, capsys):
         code, out, err = run(capsys, ["integrate", "--f", "x1*x2", "--box", "0:1,0:1"])
@@ -136,20 +148,9 @@ class TestIntegrate:
         assert err.startswith("error: log of a non-positive value in 'log(x1-2)' at point")
 
     def test_overflow_prints_only_the_error_line(self):
-        # As its own process, so that a leaked numpy RuntimeWarning would
-        # reach stderr the way a user sees it.
-        env = dict(os.environ, PYTHONWARNINGS="default")
-        src = str(Path(boxcalc.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "boxcalc.cli", "integrate", "--f", "exp(400*x1)*exp(400*x2)", "--box", "0:1,0:1"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == (
+        code, out, err = run_process(["integrate", "--f", "exp(400*x1)*exp(400*x2)", "--box", "0:1,0:1"])
+        assert (code, out) == (3, "")
+        assert err == (
             "error: non-finite result in 'exp(400*x1)*exp(400*x2)' "
             "at point (0.7787621657257119, 0.9976950792808399)\n"
         )
@@ -158,18 +159,9 @@ class TestIntegrate:
         "f, box", [("1e300+x1", "0:1e10"), ("x1", "0:1e200,0:1e200")], ids=["sum", "weights"]
     )
     def test_cubature_overflow_prints_only_the_error_line(self, f, box):
-        env = dict(os.environ, PYTHONWARNINGS="default")
-        src = str(Path(boxcalc.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "boxcalc.cli", "integrate", "--f", f, "--box", box],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == "error: Gauss-Legendre cubature: the weighted sum is not finite\n"
+        code, out, err = run_process(["integrate", "--f", f, "--box", box])
+        assert (code, out) == (3, "")
+        assert err == "error: Gauss-Legendre cubature: the weighted sum is not finite\n"
 
     def test_bad_quadrature_request_exits_3(self, capsys):
         code, _, err = run(
@@ -196,6 +188,14 @@ class TestCheckAntiderivative:
         code, out, _ = run(capsys, self.BAD)
         assert code == 4
         assert out.splitlines()[-1] == "result: FAIL (tol 0.0001)"
+
+    def test_antiderivative_failing_on_a_stencil_corner_exits_3(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["check-antiderivative", "--f", "x2/(x1-0.5)", "--F", "log(x1-0.5)*x2^2/2", "--box", "0:1,0:1"],
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: log of a non-positive value in 'log(x1-0.5)' at point (0.0, 0.0)\n"
 
     def test_nan_step_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, self.GOOD + ["--h", "nan"])
@@ -265,6 +265,23 @@ class TestParallelotope:
         )
         assert code == 3
         assert err == "error: edge matrix is singular or nearly singular (det 0)\n"
+
+    @pytest.mark.parametrize(
+        "edges, code, out, err",
+        [
+            # The determinant, 1e400, overflows.
+            ("1e200,0;0,1e200", 3, "", "error: edge matrix determinant about 1e+400 overflows"),
+            # Only the Frobenius norm overflows; the determinant is 1e308.
+            ("1e154,0;0,1e154", 0, "value = 1e+308\n", ""),
+            # The determinant, 1e-340, underflows.
+            ("1e-170,0;0,1e-170", 3, "", "error: edge matrix determinant about 1e-340 underflows"),
+        ],
+        ids=["overflow", "norm-overflow", "underflow"],
+    )
+    def test_determinant_out_of_range_is_not_called_singular(self, edges, code, out, err):
+        if err:
+            err += " the floating-point range\n"
+        assert run_process(["parallelotope", "--origin", "0,0", "--edges", edges, "--f", "1"]) == (code, out, err)
 
     def test_ragged_edges_exit_1(self, capsys):
         code, _, err = run(

@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boxcalc import (
@@ -154,6 +156,49 @@ def test_checked_determinant():
 def test_checked_determinant_scale_invariance():
     tiny = [[1e-8, 0.0], [0.0, 1e-8]]
     assert checked_determinant(tiny) == pytest.approx(1e-16)
+
+
+def test_checked_determinant_is_numpys_det_in_range():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert checked_determinant(m) == float(np.linalg.det(np.array(m)))
+
+
+@pytest.mark.parametrize(
+    "scale, n",
+    [(1e154, 2), (8e76, 4)],
+    ids=["norm-overflows", "norm-power-overflows"],
+)
+def test_checked_determinant_rescales_when_the_norm_leaves_the_range(scale, n):
+    # A multiple of the identity is perfectly conditioned, and its determinant is representable.
+    assert checked_determinant(scale * np.eye(n)) == pytest.approx(scale**n, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1e200, 0.0], [0.0, 1e200]], r"determinant about 1e\+400 overflows"),
+        ([[1e-170, 0.0], [0.0, 1e-170]], r"determinant about 1e-340 underflows"),
+        # Representable only as a subnormal, with its precision gone.
+        ([[1e-160, 0.0], [0.0, 1e-160]], r"determinant about 1e-320 underflows"),
+        ([[1e200, 2e200], [2e200, 4e200]], r"singular or nearly singular \(det 0\)"),
+        # The norm's n-th power overflows; numpy's det, 1, is what is printed.
+        ([[1e200, 0.0], [0.0, 1e-200]], r"singular or nearly singular \(det 1\)"),
+        ([[math.inf, 0.0], [0.0, 1.0]], r"entries must be finite"),
+    ],
+    ids=["overflow", "underflow", "subnormal", "singular-huge", "ill-conditioned", "inf"],
+)
+def test_checked_determinant_out_of_range(matrix, message):
+    with pytest.raises(DomainError, match=message):
+        checked_determinant(matrix)
+
+
+def test_checked_determinant_with_a_zero_tolerance_rejects_only_zero():
+    assert checked_determinant([[1.0, 1.0], [1.0, 1.0 + 2**-52]], rel_tol=0.0) == pytest.approx(2**-52)
+    with pytest.raises(DomainError, match=r"\(det 0\)"):
+        checked_determinant([[1.0, 2.0], [2.0, 4.0]], rel_tol=0.0)
 
 
 def test_parallelotope_vertices_and_volume():

@@ -1,0 +1,278 @@
+"""Batched vertex sums against the per-point loops they replace.
+
+check_antiderivative, compositionality_check and integrate_box evaluate
+each vertex sum's antiderivative in one batch.  The reference functions
+below are the per-point loops, one F call per vertex, as the package ran
+them before the batching: every flag, deviation, worst point, side and
+contribution must agree bit for bit.
+"""
+
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxcalc import (
+    Hypercuboid,
+    IntegralResult,
+    QuadratureConfig,
+    check_antiderivative,
+    compositionality_check,
+    field_from_callable,
+    field_from_expression,
+    field_from_polynomial,
+    integrate_box,
+    mixed_partial,
+    numeric_antiderivative,
+    poly_mixed_partial,
+    subdivide_grid,
+    vertex_sign,
+    vertices_lex,
+)
+from boxcalc import antiderivative
+from helpers import random_polynomial
+
+# --- the per-point loops -------------------------------------------------------
+
+
+def ref_mixed_partial(F, x, h):
+    box = Hypercuboid(
+        tuple(c - step for c, step in zip(x, h)),
+        tuple(c + step for c, step in zip(x, h)),
+    )
+    total = math.fsum(vertex_sign(label) * F(point) for label, point in vertices_lex(box))
+    return total / math.prod(2.0 * step for step in h)
+
+
+def ref_check_antiderivative(f, F, box, grid_points=5, tol=1e-4):
+    h = tuple(1e-3 * (float(b) - float(a)) for a, b in zip(box.lower, box.upper))
+    axes = []
+    for a, b, step in zip(box.lower, box.upper, h):
+        a, b = float(a), float(b)
+        lo, hi = a + step, b - step
+        while lo - step < a:
+            lo = math.nextafter(lo, math.inf)
+        while hi + step > b:
+            hi = math.nextafter(hi, -math.inf)
+        axes.append(np.linspace(lo, hi, grid_points))
+    max_abs = 0.0
+    max_rel = -1.0
+    worst = None
+    for point in itertools.product(*axes):
+        point = tuple(float(c) for c in point)
+        approx = ref_mixed_partial(F, point, h)
+        exact = f(point)
+        abs_dev = abs(approx - exact)
+        rel_dev = abs_dev / max(1.0, abs(exact))
+        max_abs = max(max_abs, abs_dev)
+        if rel_dev > max_rel:
+            max_rel = rel_dev
+            worst = point
+    return (max_rel <= tol, max_abs, max_rel, worst)
+
+
+def ref_integrate_box(F, box):
+    cache = {}
+    contributions = []
+    for label, point in vertices_lex(box):
+        if point not in cache:
+            cache[point] = F(point)
+        contributions.append((label, vertex_sign(label), cache[point]))
+    value = math.fsum(sign * value for _, sign, value in contributions) + 0.0
+    return IntegralResult(value=value, method="vertex-sum", contributions=tuple(contributions))
+
+
+def ref_compositionality(F, box, cuts):
+    parts = subdivide_grid(box, cuts)
+    lhs = ref_integrate_box(F, box).value
+    rhs = math.fsum(ref_integrate_box(F, piece).value for piece in parts) + 0.0
+    return (lhs, rhs, abs(lhs - rhs), len(parts))
+
+
+def bits(value):
+    """Floats as hex, so that -0.0 and 0.0 differ too, inside tuples and lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    return value
+
+
+# --- fields ----------------------------------------------------------------------
+
+KINDS = ("expression", "polynomial", "callable", "numeric-F")
+CHEAP = QuadratureConfig(nodes=2, panels=1)
+
+
+def _fields(kind, dim, box, seed):
+    """(f, F) of the given kind; F is an antiderivative of f up to rounding."""
+    rng = np.random.default_rng(seed)
+    a = [round(float(c), 3) for c in rng.uniform(0.5, 1.5, dim)]
+    if kind == "polynomial":
+        P = random_polynomial(random.Random(seed), dim, max_degree=3)
+        return field_from_polynomial(poly_mixed_partial(P)), field_from_polynomial(P)
+    if kind == "callable":
+
+        def F(point):
+            return math.prod(math.sin(c * x) / c for c, x in zip(a, point))
+
+        def f(point):
+            return math.prod(math.cos(c * x) for c, x in zip(a, point))
+
+        return field_from_callable(f, dim), field_from_callable(F, dim)
+    f_text = "*".join(f"cos({c}*x{j})" for j, c in enumerate(a, start=1))
+    f = field_from_expression(f_text, dim)
+    if kind == "numeric-F":
+        return f, numeric_antiderivative(f, box.lower, CHEAP)
+    F_text = "*".join(f"sin({c}*x{j})/{c}" for j, c in enumerate(a, start=1))
+    return f, field_from_expression(F_text, dim)
+
+
+def _offset_bounds():
+    """(a, b) with fl(fl(a + h) - h) < a for the checker's default h = 1e-3 (b - a)."""
+    found = []
+    for i, j in itertools.product(range(0, 4000, 7), range(0, 400, 13)):
+        a = round(0.1 + 0.0001 * i, 4)
+        b = round(a + 0.8 + 0.001 * j, 4)
+        h = 1e-3 * (b - a)
+        if (a + h) - h < a:
+            found.append((a, b))
+    return found
+
+
+OFFSET = _offset_bounds()
+# Largest grid per dimension that keeps the per-point reference quick.
+MAX_GRID = {1: 5, 2: 5, 3: 5, 4: 3, 5: 2}
+
+
+@st.composite
+def boxes(draw, dim, degenerate=False):
+    lower, upper = [], []
+    for _ in range(dim):
+        if draw(st.booleans()):
+            a, b = draw(st.sampled_from(OFFSET))
+        else:
+            a = draw(st.floats(-2.0, 2.0))
+            b = a + draw(st.floats(0.25, 2.0))
+        if degenerate and draw(st.integers(0, 3)) == 0:
+            b = a
+        lower.append(a)
+        upper.append(b)
+    return Hypercuboid(tuple(lower), tuple(upper))
+
+
+def test_offset_bounds_exist():
+    assert len(OFFSET) > 20
+
+
+# --- bit-equality with the per-point loops ---------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**31))
+def test_check_antiderivative_matches_the_per_point_loop(data, dim, kind, seed):
+    grid = data.draw(st.integers(1, MAX_GRID[dim]), label="grid")
+    box = data.draw(boxes(dim), label="box")
+    f, F = _fields(kind, dim, box, seed)
+    got = check_antiderivative(f, F, box, grid_points=grid)
+    want = ref_check_antiderivative(f, F, box, grid_points=grid)
+    assert bits((got.passed, got.max_abs_deviation, got.max_rel_deviation, got.worst_point)) == bits(want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim, grid", [(1, 5), (3, 4), (5, 3)])
+def test_check_antiderivative_matches_the_per_point_loop_on_offset_boxes(kind, dim, grid):
+    if kind == "numeric-F" and dim == 5:
+        grid = 2
+    box = Hypercuboid(tuple(a for a, _ in OFFSET[:dim]), tuple(b for _, b in OFFSET[:dim]))
+    f, F = _fields(kind, dim, box, 7)
+    got = check_antiderivative(f, F, box, grid_points=grid)
+    want = ref_check_antiderivative(f, F, box, grid_points=grid)
+    assert bits((got.passed, got.max_abs_deviation, got.max_rel_deviation, got.worst_point)) == bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**31))
+def test_integrate_box_matches_the_per_point_loop(data, dim, kind, seed):
+    box = data.draw(boxes(dim, degenerate=True), label="box")
+    _, F = _fields(kind, dim, box, seed)
+    got = integrate_box(F, box)
+    want = ref_integrate_box(F, box)
+    assert [(str(label), sign) for label, sign, _ in got.contributions] == [
+        (str(label), sign) for label, sign, _ in want.contributions
+    ]
+    assert bits([v for _, _, v in got.contributions]) == bits([v for _, _, v in want.contributions])
+    assert bits(got.value) == bits(want.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**31))
+def test_compositionality_check_matches_the_per_point_loop(data, dim, kind, seed):
+    box = data.draw(boxes(dim), label="box")
+    most = 4 if dim <= 3 else 1
+    cuts = []
+    for a, b in zip(box.lower, box.upper):
+        inside = st.floats(a, b, exclude_min=True, exclude_max=True)
+        cuts.append(sorted(data.draw(st.sets(inside, max_size=most), label="cuts")))
+    _, F = _fields(kind, dim, box, seed)
+    got = compositionality_check(F, box, cuts)
+    want = ref_compositionality(F, box, cuts)
+    assert bits((got.lhs, got.rhs, got.abs_diff, got.subboxes)) == bits(want)
+
+
+def test_mixed_partial_matches_the_per_point_loop():
+    F = field_from_expression("sin(x1)*exp(x2)*(1+x3^2)", 3)
+    for x, h in [((0.3, 0.7, -0.2), (1e-3, 2e-3, 5e-4)), ((1.1, -0.4, 0.9), (0.1, 0.1, 0.1))]:
+        assert mixed_partial(F, x, h).hex() == ref_mixed_partial(F, x, h).hex()
+
+
+# --- evaluation batches ------------------------------------------------------------
+
+
+def _recording(fn, arity):
+    rows = []
+
+    def record(points):
+        rows.append(len(points))
+        return fn(points)
+
+    return field_from_callable(record, arity, batch=True), rows
+
+
+def test_a_small_check_makes_one_call_each():
+    f, f_rows = _recording(lambda p: p[:, 0] * p[:, 1] * p[:, 2], 3)
+    F, F_rows = _recording(lambda p: (p[:, 0] * p[:, 1] * p[:, 2]) ** 2 / 8, 3)
+    report = check_antiderivative(f, F, Hypercuboid((0.0,) * 3, (1.0,) * 3), grid_points=5)
+    assert report.passed
+    assert F_rows == [10**3]
+    assert f_rows == [5**3]
+    F, rows = _recording(lambda p: p[:, 0] * p[:, 1], 2)
+    mixed_partial(F, (0.5, 0.5), (0.1, 0.1))
+    assert rows == [4]
+
+
+def test_no_checker_call_exceeds_the_block():
+    # (2 * 520)**2 = 1,081,600 stencil corners: two slabs, the first one full.
+    f, _ = _recording(lambda p: np.ones(len(p)), 2)
+    F, rows = _recording(lambda p: p[:, 0] * p[:, 1], 2)
+    report = check_antiderivative(f, F, Hypercuboid((0.0, 0.0), (1.0, 1.0)), grid_points=520)
+    assert report.passed
+    assert rows == [1 << 20, 1040**2 - (1 << 20)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_slabs_of_any_size_give_the_same_report(monkeypatch, block):
+    f, F = _fields("expression", 3, Hypercuboid((0.0,) * 3, (1.0,) * 3), 3)
+    box = Hypercuboid((0.1, -0.5, 0.3), (1.2, 0.5, 1.0))
+    want = check_antiderivative(f, F, box, grid_points=3)
+    F_rec, rows = _recording(F.evaluate, 3)
+    monkeypatch.setattr(antiderivative, "_EVAL_BLOCK", block)
+    got = check_antiderivative(f, F_rec, box, grid_points=3)
+    assert max(rows) <= block and sum(rows) == 6**3
+    assert bits((got.max_abs_deviation, got.max_rel_deviation, got.worst_point)) == bits(
+        (want.max_abs_deviation, want.max_rel_deviation, want.worst_point)
+    )
