@@ -181,7 +181,8 @@ def numeric_antiderivative(
     return field_from_callable(value_at, f.arity, tag="numeric-antiderivative")
 
 
-# Rows per evaluate() call on a tensor grid: the cubature's slab bound.
+# Rows per evaluate() call on a tensor grid: a memory bound on the stacked
+# (rows, n) points, which a field built on a callable needs.
 _EVAL_BLOCK = 1 << 20
 
 

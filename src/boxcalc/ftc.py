@@ -24,7 +24,6 @@ import numpy as np
 from .antiderivative import (
     ScalarField,
     evaluate_on_grid,
-    field_from_callable,
     numeric_antiderivative,
 )
 from .errors import BoxcalcError, DomainError, InternalCheckError
@@ -177,15 +176,39 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
 
 
 def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
-    """The integrand u -> f(origin + T u) * weight on the unit box."""
-    origin = np.asarray(tuple(float(c) for c in origin), dtype=float)
+    """The integrand u -> f(origin + T u) * weight on the unit box.
+
+    Works on coordinate columns, axis by axis: x_i = o_i + (T_i1*u_1 + ...
+    + T_in*u_n), summed left to right by broadcasting the u columns, so no
+    point array is stacked and no matrix product runs.  The explicit order
+    makes the values independent of the BLAS build.  The origin must have
+    f.arity entries and the matrix must be f.arity x f.arity.
+    """
+    n = f.arity
+    origin = tuple(float(c) for c in origin)
     matrix = np.asarray(matrix, dtype=float)
+    if len(origin) != n or matrix.shape != (n, n):
+        raise DomainError(
+            f"pullback of an arity-{n} field needs {n} origin entries and a {n}x{n} "
+            f"matrix, got {len(origin)} and shape {matrix.shape}"
+        )
+    rows = matrix.tolist()
     weight = float(weight)
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return f.evaluate(origin + pts @ matrix.T) * weight
+    def fn(columns) -> np.ndarray:
+        # Coordinates or values that overflow reach f, or the caller, as inf.
+        xs = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for o, row in zip(origin, rows):
+                total = row[0] * columns[0]
+                for t, u in zip(row[1:], columns[1:]):
+                    total = total + t * u
+                xs.append(o + total)
+        values = f.fn(tuple(xs))
+        with np.errstate(over="ignore"):
+            return values * weight
 
-    return field_from_callable(fn, f.arity, tag="pullback", batch=True)
+    return ScalarField(n, fn, tag="pullback")
 
 
 def integrate_parallelotope(

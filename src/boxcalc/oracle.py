@@ -104,7 +104,10 @@ def _axis_rule(a: float, b: float, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-_EVAL_BLOCK = 1 << 20
+# Points per cubature tile: a tile's few float arrays (512 KiB each) stay in
+# L2, where 2^20-point slabs streamed 8 MB arrays through memory about ten
+# times.  Much smaller tiles pay more per-tile interpreter cost instead.
+_EVAL_BLOCK = 1 << 16
 # Below this many terms math.fsum on the array is faster than extracting first.
 _EXTRACT_MIN = 1024
 
@@ -115,12 +118,13 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
     Exact (to rounding) for polynomials of per-axis degree up to
     2*nodes - 1.  Degenerate axes contribute zero weight, so the result is
     exactly 0.0 when the box is degenerate.  The tensor grid is walked in
-    C order in slabs of at most _EVAL_BLOCK points, so memory stays bounded
-    for large rules.  The value is the correctly rounded sum of all weighted
-    integrand values over the whole grid, so it does not depend on the slab
-    size and is reproducible bit for bit.  `f` gets each slab's per-axis
-    coordinate columns (see ScalarField).  A sum that overflows or is not
-    finite raises DomainError.
+    C order in tiles of at most _EVAL_BLOCK points, sized so that a tile's
+    weights, values and extraction temporaries stay in a core's L2 cache;
+    memory stays bounded for any rule.  The value is the correctly rounded
+    sum of all weighted integrand values over the whole grid, so it does
+    not depend on the tile size and is reproducible bit for bit.  `f` gets
+    each tile's per-axis coordinate columns (see ScalarField).  A sum that
+    overflows or is not finite raises DomainError.
     """
     cfg = cfg or QuadratureConfig()
     n = box.dim
@@ -161,16 +165,16 @@ def _grid_values(f, columns, shape: tuple[int, ...]) -> np.ndarray:
 def _grid_slabs(rules, block: int):
     """(columns, weights) of the tensor grid of per-axis (nodes, weights) rules, in C order.
 
-    Each slab holds at most `block` points: a run of whole trailing
-    sub-grids (the last k axes in full, k as large as fits), or a run of
-    single points when not even one row fits.  `weights` has the slab's
-    shape, (rows,) followed by k axes of full rules.  `columns[j]` holds
-    axis j's coordinates, shaped to broadcast against it: the run's nodes
-    along the first axis for a decoded axis, the whole rule along its own
-    axis for a trailing one.  Only the run's indices on the decoded axes
-    are computed; no point array is built.  Each weight is the
-    left-to-right product w0[i0]*w1[i1]*..., rounded the same way in every
-    slab layout.
+    The grid is cut into slabs (the cubature's tiles) of at most `block`
+    points each: a run of whole trailing sub-grids (the last k axes in full,
+    k as large as fits), or a run of single points when not even one row
+    fits.  `weights` has the slab's shape, (rows,) followed by k axes of
+    full rules.  `columns[j]` holds axis j's coordinates, shaped to
+    broadcast against it: the run's nodes along the first axis for a decoded
+    axis, the whole rule along its own axis for a trailing one.  Only the
+    run's indices on the decoded axes are computed; no point array is built.
+    Each weight is the left-to-right product w0[i0]*w1[i1]*..., rounded the
+    same way in every slab layout.
     """
     n = len(rules)
     per_axis = len(rules[0][0])

@@ -6,9 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import boxcalc.antiderivative as antiderivative
+import boxcalc.ftc as ftc
 from boxcalc import (
     CompositionalityReport,
     DomainError,
+    EvalError,
     Hypercuboid,
     ImpossibilityReport,
     IntegralResult,
@@ -204,6 +207,74 @@ class TestParallelotope:
         g = pullback_field(f, (1.0, 1.0), [[2.0, 0.0], [0.0, 3.0]], 5.0)
         assert g((0.5, 1.0)) == 30.0
         assert g.tag == "pullback"
+
+    def test_pullback_refuses_a_short_origin(self):
+        f = field_from_expression("x1+x2", 2)
+        with pytest.raises(DomainError, match="origin"):
+            pullback_field(f, (0.0,), np.eye(2), 1.0)
+
+    def test_pullback_refuses_a_matrix_of_the_wrong_shape(self):
+        f = field_from_expression("x1+x2", 2)
+        with pytest.raises(DomainError, match="matrix"):
+            pullback_field(f, (0.0, 0.0), [[1.0, 0.0]], 1.0)
+
+    def test_pullback_of_a_constant_is_the_constant_times_the_weight(self):
+        g = pullback_field(field_from_expression("3", 0), (), np.zeros((0, 0)), 2.5)
+        assert g(()) == 7.5
+        assert g.evaluate(np.empty((4, 0))).tolist() == [7.5] * 4
+
+    # A 3-d map whose per-point sums round differently in other orders.
+    _ORIGIN = (0.3, -1.7, 0.1)
+    _MATRIX = [[0.7, -0.3, 1.1], [0.13, 0.9, -0.41], [-0.27, 0.35, 1.3]]
+
+    @classmethod
+    def _reference(cls, f, us, weight):
+        """f(o + T u) * weight, each coordinate summed left to right in plain Python."""
+        xs = []
+        for u in us:
+            x = []
+            for o, row in zip(cls._ORIGIN, cls._MATRIX):
+                total = row[0] * u[0]
+                for t, uj in zip(row[1:], u[1:]):
+                    total = total + t * uj
+                x.append(o + total)
+            xs.append(x)
+        return f.evaluate(np.array(xs)) * weight
+
+    def test_pullback_sums_each_coordinate_left_to_right(self):
+        f = field_from_expression("exp(x1)*sin(x2)+x3^2*x1", 3)
+        g = pullback_field(f, self._ORIGIN, self._MATRIX, 1.7)
+        rng = np.random.default_rng(5)
+        axes = [rng.random(m) for m in (6, 7, 8)]
+        grid = g.fn(tuple(a.reshape([-1 if i == j else 1 for i in range(3)]) for j, a in enumerate(axes)))
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        want = self._reference(f, points.tolist(), 1.7)
+        assert grid.shape == (6, 7, 8)
+        assert grid.ravel().tobytes() == want.tobytes()
+        assert g.evaluate(points).tobytes() == want.tobytes()
+
+    def test_pullback_never_stacks_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pullback stacked its columns into points")
+
+        # ftc no longer imports the stacking factory; refuse it wherever it lives.
+        monkeypatch.setattr(ftc, "field_from_callable", refuse, raising=False)
+        monkeypatch.setattr(antiderivative, "field_from_callable", refuse)
+        f = field_from_expression("x1*exp(x2)*x3", 3)
+        g = pullback_field(f, (0.0, 0.0, 0.0), np.diag([1.0, 2.0, 0.5]), 1.0)
+        got = gauss_legendre_box(g, Hypercuboid((0.0,) * 3, (1.0,) * 3))
+        assert got == pytest.approx((math.e**2 - 1) / 16, rel=1e-14)
+
+    def test_pullback_overflow_raises_without_a_warning(self, recwarn):
+        f = field_from_expression("x1+x2", 2)
+        quad = QuadratureConfig(nodes=4, panels=1)
+        coordinates = pullback_field(f, (1e308, 0.0), [[1e308, 1e308], [0.0, 1.0]], 1.0)
+        with pytest.raises(EvalError, match="non-finite"):
+            gauss_legendre_box(coordinates, UNIT_SQUARE, quad)
+        values = pullback_field(f, (1e300, 0.0), np.eye(2), 1e10)
+        with pytest.raises(DomainError, match="not finite"):
+            gauss_legendre_box(values, UNIT_SQUARE, quad)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_unit_box_embedding_is_bitwise_box_integral(self):
         f = field_from_expression("exp(x1+x2)", 2)

@@ -17,6 +17,7 @@ from boxcalc import (
     Hypercuboid,
     MonteCarloEstimate,
     QuadratureConfig,
+    ScalarField,
     field_from_callable,
     field_from_expression,
     field_from_polynomial,
@@ -309,6 +310,38 @@ class TestGaussLegendreBox:
         monkeypatch.setattr(expression, "evaluate_batch", refuse)
         got = gauss_legendre_box(f, Hypercuboid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
         assert got == pytest.approx(0.25 * (math.e - 1), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "kind, dim, cfg",
+        [
+            # 1536^2, 120^3 and 36^4 points: the tile and a 2^20 slab cut each grid differently.
+            (kind, dim, QuadratureConfig(nodes=12, panels=panels))
+            for dim, panels in ((2, 128), (3, 10), (4, 3))
+            # The mirror extension exists only in 2-d.
+            for kind in ("expression", "pullback", "mirror-extension")[: 3 if dim == 2 else 2]
+        ],
+    )
+    def test_tile_does_not_change_the_value_at_real_sizes(self, monkeypatch, kind, dim, cfg):
+        sizes = []
+
+        def recorded(field):
+            def fn(columns):
+                sizes.append(math.prod(expression.broadcast_shape(columns)))
+                return field.fn(columns)
+
+            return ScalarField(field.arity, fn)
+
+        f = recorded(field_from_expression("+".join(f"x{j}*x{j % dim + 1}" for j in range(1, dim + 1)), dim))
+        if kind == "pullback":
+            f = pullback_field(f, (0.25,) * dim, 0.5 * np.eye(dim) + 0.1 * (1 - np.eye(dim)), 1.5)
+        elif kind == "mirror-extension":
+            f = mirror_extend(f, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        f = recorded(f)
+        box = Hypercuboid((0.0,) * dim, (1.0,) * dim)
+        tiled = gauss_legendre_box(f, box, cfg)
+        assert sizes and max(sizes) <= oracle._EVAL_BLOCK
+        monkeypatch.setattr(oracle, "_EVAL_BLOCK", 1 << 20)
+        assert gauss_legendre_box(f, box, cfg) == tiled
 
     def test_deterministic(self):
         f = field_from_expression("exp(x1*x2)", 2)
