@@ -293,6 +293,9 @@ def check_antiderivative(
         raise DomainError(f"field arities must match the box dimension {n}")
     if grid_points < 1:
         raise DomainError(f"grid needs at least one point per axis, got {grid_points}")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be non-negative and finite, got tol={tol}")
     extents = [float(b) - float(a) for a, b in zip(box.lower, box.upper)]
     if h is None:
         h = tuple(1e-3 * ext for ext in extents)

@@ -1,9 +1,12 @@
 """Command-line surface for vertex-sum integration.
 
 Subcommands: integrate, check-antiderivative, parallelotope, triangle,
-subdivide-check, impossibility.  Every command honors --json with one stable
-object: {"command", "inputs", "result", "diagnostics", "status"}.  Identical
-invocations produce byte-identical output.
+subdivide-check, impossibility.  Each command returns one record: its
+result, diagnostics, human lines and exit code.  `main` renders the record
+once: as the human lines, or under --json as one stable object
+{"command", "inputs", "result", "diagnostics", "status"}, whose `inputs`
+are the subcommand's flags.  Identical invocations produce byte-identical
+output.
 
 Exit codes: 0 success, 1 usage, 2 expression parse, 3 numeric/domain,
 4 check failed.
@@ -14,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import antiderivative as ad
 from . import expression as ex
@@ -37,13 +42,26 @@ class UsageError(BoxcalcError):
     """Malformed command line (bad flag combination or argument syntax)."""
 
 
-class _ExprFailure(Exception):
-    """Parse failure plus the source text, for caret rendering."""
+class _ExprFailure(BoxcalcError):
+    """Parse failure shown with its source text and a caret under the offset."""
 
-    def __init__(self, source: str, err: ex.ParseError):
-        super().__init__(str(err))
-        self.source = source
-        self.err = err
+
+# Exception type -> (stderr prefix, exit code); the first match wins.
+_ERRORS = {
+    UsageError: ("usage error", EXIT_USAGE),
+    (_ExprFailure, ex.ParseError, polycalc.NonPolynomialError): ("parse error", EXIT_PARSE),
+    ftc.SymmetryError: ("error", EXIT_CHECK_FAILED),
+    BoxcalcError: ("error", EXIT_DOMAIN),
+}
+
+
+class _Record(NamedTuple):
+    """What one command found; `main` renders it as human lines or as JSON."""
+
+    result: dict
+    diagnostics: dict
+    human: list[str]
+    code: int = EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +78,21 @@ def _fmt_float(value: float, digits: int) -> str:
 
 def _hf(value: float) -> str:
     return _fmt_float(value, _HUMAN_DIGITS)
+
+
+def _human(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return ", ".join(_human(v) for v in value)
+    if isinstance(value, int):
+        return str(value)
+    return _hf(value)
+
+
+def _lines(fields: dict, *names: str) -> list[str]:
+    """One `name = value` line per named field, or per field when none are named."""
+    return [f"{name} = {_human(fields[name])}" for name in names or fields]
 
 
 def _to_json(value) -> str:
@@ -83,31 +116,34 @@ def _to_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _scalar(text: str, what: str) -> Fraction:
+def _scalar(text: str, what: str, exact: bool = False) -> Fraction:
+    """A rational number; unless `exact`, it must also fit in a float."""
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        value = Fraction(text)
+        if not exact:
+            float(value)
     except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"invalid {what} '{text.strip()}': expected a number") from err
+        raise UsageError(f"invalid {what} '{text}': expected a number") from err
+    except OverflowError as err:
+        raise UsageError(f"{what} '{text}' is outside the floating-point range") from err
+    return value
 
 
-def _parse_box(text: str) -> Hypercuboid:
+def _parse_box(text: str, exact: bool = False) -> Hypercuboid:
     lowers = []
     uppers = []
     for j, part in enumerate(text.split(","), start=1):
         pieces = part.split(":")
         if len(pieces) != 2:
             raise UsageError(f"--box axis {j}: expected 'a:b', got '{part.strip()}'")
-        lowers.append(_scalar(pieces[0], f"--box axis {j} lower bound"))
-        uppers.append(_scalar(pieces[1], f"--box axis {j} upper bound"))
+        lowers.append(_scalar(pieces[0], f"--box axis {j} lower bound", exact))
+        uppers.append(_scalar(pieces[1], f"--box axis {j} upper bound", exact))
     return Hypercuboid(tuple(lowers), tuple(uppers))
 
 
 def _parse_vector(text: str, what: str) -> tuple[float, ...]:
     return tuple(float(_scalar(piece, what)) for piece in text.split(","))
-
-
-def _parse_columns(text: str) -> list[tuple[float, ...]]:
-    return [_parse_vector(piece, "--edges entry") for piece in text.split(";")]
 
 
 def _parse_grid(text: str, dim: int) -> list[int]:
@@ -126,16 +162,19 @@ def _parse_grid(text: str, dim: int) -> list[int]:
     return splits
 
 
-def _check_dim(declared: int | None, actual: int) -> None:
-    if declared is not None and declared != actual:
-        raise UsageError(f"--dim {declared} does not match the {actual}-axis box")
+def _check_dim(args, box: Hypercuboid) -> int:
+    """Cross-check --dim against the box; the JSON `inputs` then report the box's dimension."""
+    if args.dim is not None and args.dim != box.dim:
+        raise UsageError(f"--dim {args.dim} does not match the {box.dim}-axis box")
+    args.dim = box.dim
+    return box.dim
 
 
 def _parse_source(text: str, arity: int) -> ex.Expr:
     try:
         return ex.parse(text, arity)
     except ex.ParseError as err:
-        raise _ExprFailure(text, err) from err
+        raise _ExprFailure(f"{err}\n  {text}\n  {' ' * err.offset}^") from err
 
 
 def _field(text: str, arity: int) -> ad.ScalarField:
@@ -157,44 +196,24 @@ def _contributions_json(contribs, exact: bool = False) -> list[dict]:
     ]
 
 
-def _payload(command: str, inputs: dict, result: dict, diagnostics: dict, status: str) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "diagnostics": diagnostics,
-        "status": status,
-    }
-
-
-def _oracle_lines(result: dict) -> list[str]:
-    return [
-        f"oracle = {_hf(result['oracle'])}",
-        f"abs_diff = {_hf(result['abs_diff'])}",
-        f"rel_diff = {_hf(result['rel_diff'])}",
-    ]
+def _result(res: ftc.IntegralResult, value) -> dict:
+    """`value`, then the oracle and its differences when one is attached."""
+    result = {"value": value}
+    if res.oracle is not None:
+        result.update(oracle=res.oracle, abs_diff=res.abs_diff, rel_diff=res.rel_diff)
+    return result
 
 
 def cmd_integrate(args):
-    box = _parse_box(args.box)
-    n = box.dim
-    _check_dim(args.dim, n)
+    # The exact route needs floats only for the oracle.
+    box = _parse_box(args.box, exact=args.exact and not args.verify)
+    n = _check_dim(args, box)
     if (args.f is None) == (args.F is None):
         raise UsageError("give exactly one of --f or --F")
     if args.verify and args.f is None:
         raise UsageError("--verify needs --f to run the quadrature oracle")
     quad = _quad_config(args)
     source = args.f if args.f is not None else args.F
-    inputs = {
-        "box": args.box,
-        "dim": n,
-        "f": args.f,
-        "F": args.F,
-        "exact": args.exact,
-        "verify": args.verify,
-        "order": args.order,
-        "panels": args.panels,
-    }
     if args.exact:
         poly = polycalc.poly_from_expr(_parse_source(source, n), n)
         anti = poly if args.f is None else polycalc.poly_antiderivative(poly, box.lower)
@@ -204,104 +223,54 @@ def cmd_integrate(args):
         value = sum((sign * v for _, sign, v in contribs), Fraction(0))
         if args.f is not None:
             value = polycalc.checked_box_integral(poly, box, value)
-        result = {"value": str(value)}
-        human = [f"value = {value}"]
-        method = "vertex-sum-exact"
-        diag_contribs = _contributions_json(contribs, exact=True)
-        if args.verify:
-            oracle = gauss_legendre_box(ad.field_from_polynomial(poly), box, quad)
-            abs_diff = abs(float(value) - oracle)
-            result["oracle"] = oracle
-            result["abs_diff"] = abs_diff
-            result["rel_diff"] = abs_diff / max(1.0, abs(oracle))
-            human += _oracle_lines(result)
+        # A Fraction value: with_oracle's difference rounds it to float first.
+        res = ftc.IntegralResult(value, "vertex-sum-exact", tuple(contribs))
     else:
         field = _field(source, n)
         if args.f is not None:
             res = ftc.integrate_box_from_f(field, box, quad)
         else:
             res = ftc.integrate_box(field, box)
-        if args.verify:
-            res = ftc.with_oracle(res, gauss_legendre_box(field, box, quad))
-        result = {"value": res.value}
-        human = [f"value = {_hf(res.value)}"]
-        method = res.method
-        diag_contribs = _contributions_json(res.contributions)
-        if args.verify:
-            result["oracle"] = res.oracle
-            result["abs_diff"] = res.abs_diff
-            result["rel_diff"] = res.rel_diff
-            human += _oracle_lines(result)
-    diagnostics = {"method": method, "contributions": diag_contribs}
-    return _payload("integrate", inputs, result, diagnostics, "ok"), human, EXIT_OK
+    if args.verify:
+        oracle_field = ad.field_from_polynomial(poly) if args.exact else field
+        res = ftc.with_oracle(res, gauss_legendre_box(oracle_field, box, quad))
+    result = _result(res, str(res.value) if args.exact else res.value)
+    diagnostics = {
+        "method": res.method,
+        "contributions": _contributions_json(res.contributions, exact=args.exact),
+    }
+    return _Record(result, diagnostics, _lines(result))
 
 
 def cmd_check_antiderivative(args):
     box = _parse_box(args.box)
-    n = box.dim
-    _check_dim(args.dim, n)
-    f = _field(args.f, n)
-    F = _field(args.F, n)
+    n = _check_dim(args, box)
     report = ad.check_antiderivative(
-        f, F, box, grid_points=args.grid_points, h=args.h, tol=args.tol
+        _field(args.f, n), _field(args.F, n), box, grid_points=args.grid_points, h=args.h, tol=args.tol
     )
-    inputs = {
-        "box": args.box,
-        "dim": n,
-        "f": args.f,
-        "F": args.F,
-        "tol": args.tol,
-        "grid_points": args.grid_points,
-        "h": args.h,
-    }
-    result = {"value": report.max_rel_deviation}
-    diagnostics = {
-        "passed": report.passed,
-        "max_abs_deviation": report.max_abs_deviation,
-        "max_rel_deviation": report.max_rel_deviation,
-        "worst_point": list(report.worst_point),
-        "tol": report.tol,
-        "grid_points": report.grid_points,
-        "h": list(report.h),
-    }
-    human = [
-        f"max_abs_deviation = {_hf(report.max_abs_deviation)}",
-        f"max_rel_deviation = {_hf(report.max_rel_deviation)}",
-        "worst_point = " + ", ".join(_hf(c) for c in report.worst_point),
-        f"result: {'pass' if report.passed else 'FAIL'} (tol {_hf(report.tol)})",
-    ]
-    status = "ok" if report.passed else "fail"
+    diagnostics = asdict(report)
+    human = _lines(diagnostics, "max_abs_deviation", "max_rel_deviation", "worst_point")
+    human.append(f"result: {'pass' if report.passed else 'FAIL'} (tol {_hf(report.tol)})")
     code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    payload = _payload("check-antiderivative", inputs, result, diagnostics, status)
-    return payload, human, code
+    return _Record({"value": report.max_rel_deviation}, diagnostics, human, code)
 
 
 def cmd_parallelotope(args):
     origin = _parse_vector(args.origin, "--origin entry")
-    columns = _parse_columns(args.edges)
+    columns = [_parse_vector(piece, "--edges entry") for piece in args.edges.split(";")]
     n = len(origin)
     if len(columns) != n or any(len(col) != n for col in columns):
         raise UsageError(f"--edges must give {n} columns of {n} entries each")
     p = Parallelotope.from_edge_vectors(origin, columns)
     f = _field(args.f, n)
     res = ftc.integrate_parallelotope(f, p, _quad_config(args))
-    inputs = {
-        "origin": args.origin,
-        "edges": args.edges,
-        "f": args.f,
-        "verify": args.verify,
-        "samples": args.samples,
-        "seed": args.seed,
-        "order": args.order,
-        "panels": args.panels,
-    }
     diagnostics = {
         "method": res.method,
         "determinant": p.det,
         "volume": p.volume(),
         "contributions": _contributions_json(res.contributions),
     }
-    human = [f"value = {_hf(res.value)}"]
+    monte_carlo = []
     if args.verify:
         mc = monte_carlo_affine(f, origin, p.matrix, args.samples, args.seed)
         res = ftc.with_oracle(res, mc.estimate)
@@ -311,18 +280,11 @@ def cmd_parallelotope(args):
             "samples": mc.samples,
             "seed": mc.seed,
         }
-    result = {"value": res.value}
-    if args.verify:
-        result["oracle"] = res.oracle
-        result["abs_diff"] = res.abs_diff
-        result["rel_diff"] = res.rel_diff
-        human += _oracle_lines(result)
-        human.append(
-            f"monte-carlo: stderr = {_hf(diagnostics['oracle']['stderr'])}, "
-            f"samples = {args.samples}, seed = {args.seed}"
+        monte_carlo.append(
+            f"monte-carlo: stderr = {_hf(mc.stderr)}, samples = {mc.samples}, seed = {mc.seed}"
         )
-    payload = _payload("parallelotope", inputs, result, diagnostics, "ok")
-    return payload, human, EXIT_OK
+    result = _result(res, res.value)
+    return _Record(result, diagnostics, _lines(result) + monte_carlo)
 
 
 def cmd_triangle(args):
@@ -336,84 +298,39 @@ def cmd_triangle(args):
     res = ftc.integrate_triangle_symmetric(
         f, pv, qv, rv, _quad_config(args), sym_tol=args.sym_tol, sym_samples=args.sym_samples
     )
-    inputs = {
-        "p": args.p,
-        "q": args.q,
-        "r": args.r,
-        "f": args.f,
-        "sym_tol": args.sym_tol,
-        "sym_samples": args.sym_samples,
-        "order": args.order,
-        "panels": args.panels,
-    }
     sym = res.symmetry
     diagnostics = {
         "method": res.method,
         "contributions": _contributions_json(res.contributions),
-        "symmetry": {
-            "passed": sym.passed,
-            "max_deviation": sym.max_deviation,
-            "worst_t": sym.worst_t,
-            "scale": sym.scale,
-            "samples": sym.samples,
-            "tol": sym.tol,
-        },
+        "symmetry": asdict(sym),
     }
-    human = [
-        f"value = {_hf(res.value)}",
+    result = {"value": res.value}
+    human = _lines(result) + [
         f"symmetry: pass (max deviation {_hf(sym.max_deviation)} at t = {_hf(sym.worst_t)}, "
-        f"scale {_hf(sym.scale)}, tol {_hf(sym.tol)})",
+        f"scale {_hf(sym.scale)}, tol {_hf(sym.tol)})"
     ]
-    payload = _payload("triangle", inputs, {"value": res.value}, diagnostics, "ok")
-    return payload, human, EXIT_OK
+    return _Record(result, diagnostics, human)
 
 
 def cmd_subdivide_check(args):
     box = _parse_box(args.box)
-    n = box.dim
-    _check_dim(args.dim, n)
+    n = _check_dim(args, box)
     F = _field(args.F, n)
     splits = _parse_grid(args.grid, n)
     cuts = [
         [a + (b - a) * Fraction(i, k) for i in range(1, k)]
         for (a, b, k) in zip(box.lower, box.upper, splits)
     ]
-    rep = ftc.compositionality_check(F, box, cuts)
-    inputs = {"box": args.box, "dim": n, "F": args.F, "grid": args.grid}
-    diagnostics = {
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "abs_diff": rep.abs_diff,
-        "subboxes": rep.subboxes,
-    }
-    human = [
-        f"lhs = {_hf(rep.lhs)}",
-        f"rhs = {_hf(rep.rhs)}",
-        f"abs_diff = {_hf(rep.abs_diff)}",
-        f"subboxes = {rep.subboxes}",
-    ]
-    payload = _payload("subdivide-check", inputs, {"value": rep.lhs}, diagnostics, "ok")
-    return payload, human, EXIT_OK
+    diagnostics = asdict(ftc.compositionality_check(F, box, cuts))
+    return _Record({"value": diagnostics["lhs"]}, diagnostics, _lines(diagnostics))
 
 
 def cmd_impossibility(args):
     report = ftc.triangle_impossibility_check()
-    total_matches = sum(s.target_matches for s in report.searches)
     diagnostics = {
-        "target": list(report.target),
-        "target_orbit": [list(t) for t in report.target_orbit],
-        "searches": [
-            {
-                "diagonal": s.diagonal,
-                "triangles": [list(t) for t in s.triangles],
-                "assignments": s.assignments,
-                "target_matches": s.target_matches,
-                "shared_coefficient_values": list(s.shared_coefficient_values),
-                "zero_vector_matches": s.zero_vector_matches,
-                "cancelling_shared_patterns": s.cancelling_shared_patterns,
-            }
-            for s in report.searches
-        ],
+        "target": report.target,
+        "target_orbit": report.target_orbit,
+        "searches": [asdict(s) for s in report.searches],
     }
     human = []
     for s in report.searches:
@@ -430,10 +347,9 @@ def cmd_impossibility(args):
         f"{per_run.target_matches} of {per_run.assignments} assignments match, "
         f"per triangulation; {verdict}"
     )
-    status = "ok" if report.claim_holds else "fail"
+    total_matches = sum(s.target_matches for s in report.searches)
     code = EXIT_OK if report.claim_holds else EXIT_CHECK_FAILED
-    payload = _payload("impossibility", {}, {"value": total_matches}, diagnostics, status)
-    return payload, human, code
+    return _Record({"value": total_matches}, diagnostics, human, code)
 
 
 def _add_json_flag(parser) -> None:
@@ -462,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="append a tensor-product quadrature oracle (needs --f)")
     _add_quad_flags(p)
     _add_json_flag(p)
-    p.set_defaults(func=cmd_integrate)
+    p.set_defaults(
+        func=cmd_integrate, inputs=("box", "dim", "f", "F", "exact", "verify", "order", "panels")
+    )
 
     p = sub.add_parser("check-antiderivative", help="verify the mixed partial of --F matches --f on a grid")
     p.add_argument("--f", required=True, help="integrand expression")
@@ -473,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=5, help="interior grid points per axis (default 5)")
     p.add_argument("--h", type=float, default=None, help="stencil half-width (default 1e-3 of each extent)")
     _add_json_flag(p)
-    p.set_defaults(func=cmd_check_antiderivative)
+    p.set_defaults(
+        func=cmd_check_antiderivative, inputs=("box", "dim", "f", "F", "tol", "grid_points", "h")
+    )
 
     p = sub.add_parser("parallelotope", help="integral over an affine image of the unit box")
     p.add_argument("--origin", required=True, help="origin vector 'o1,o2,...'")
@@ -484,7 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="Monte Carlo seed (default 42)")
     _add_quad_flags(p)
     _add_json_flag(p)
-    p.set_defaults(func=cmd_parallelotope)
+    p.set_defaults(
+        func=cmd_parallelotope,
+        inputs=("origin", "edges", "f", "verify", "samples", "seed", "order", "panels"),
+    )
 
     p = sub.add_parser("triangle", help="integral over a triangle with a QR-symmetric integrand")
     p.add_argument("--p", required=True, help="vertex P 'x,y'")
@@ -496,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     # dense default: the extended integrand has a gradient seam along QR
     _add_quad_flags(p, order=32, panels=192)
     _add_json_flag(p)
-    p.set_defaults(func=cmd_triangle)
+    p.set_defaults(
+        func=cmd_triangle, inputs=("p", "q", "r", "f", "sym_tol", "sym_samples", "order", "panels")
+    )
 
     p = sub.add_parser("subdivide-check", help="compare a box vertex sum with its grid subdivision")
     p.add_argument("--F", required=True, help="antiderivative expression")
@@ -504,59 +429,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="equal splits per axis 'k1,k2,...'")
     p.add_argument("--dim", type=int, default=None)
     _add_json_flag(p)
-    p.set_defaults(func=cmd_subdivide_check)
+    p.set_defaults(func=cmd_subdivide_check, inputs=("box", "dim", "F", "grid"))
 
     p = sub.add_parser("impossibility", help="exhaustive search: no two-triangle sign pattern matches the box sum")
     _add_json_flag(p)
-    p.set_defaults(func=cmd_impossibility)
+    p.set_defaults(func=cmd_impossibility, inputs=())
 
     return parser
-
-
-def _print_parse_error(failure: _ExprFailure) -> None:
-    print(f"parse error: {failure.err}", file=sys.stderr)
-    print(f"  {failure.source}", file=sys.stderr)
-    print("  " + " " * failure.err.offset + "^", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        record = args.func(args)
+        if args.json:
+            text = _to_json(
+                {
+                    "command": args.subcommand,
+                    "inputs": {name: getattr(args, name) for name in args.inputs},
+                    "result": record.result,
+                    "diagnostics": record.diagnostics,
+                    "status": "ok" if record.code == EXIT_OK else "fail",
+                }
+            )
+        else:
+            text = "\n".join(record.human)
     except SystemExit as err:
         return int(err.code or 0)
-    try:
-        payload, human, code = args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except _ExprFailure as failure:
-        _print_parse_error(failure)
-        return EXIT_PARSE
-    except polycalc.NonPolynomialError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except ex.ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except ftc.SymmetryError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except BoxcalcError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    if args.json:
-        print(_to_json(payload))
-    else:
-        for line in human:
-            print(line)
-    return code
+        prefix, code = next(v for types, v in _ERRORS.items() if isinstance(err, types))
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
+    print(text)
+    return record.code
 
 
 def console_main() -> None:

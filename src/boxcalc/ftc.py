@@ -261,6 +261,9 @@ def check_segment_symmetry(
         raise DomainError(f"segment symmetry check needs arity 2, got {f.arity}")
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be non-negative and finite, got tol={tol}")
     q = np.asarray(tuple(float(c) for c in q), dtype=float)
     r = np.asarray(tuple(float(c) for c in r), dtype=float)
     mid = 0.5 * (q + r)

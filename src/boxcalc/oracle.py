@@ -256,6 +256,8 @@ def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloE
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     matrix = np.asarray(edges, dtype=float)
     origin = np.asarray(tuple(float(c) for c in origin), dtype=float)
     n = origin.shape[0]
@@ -266,7 +268,9 @@ def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloE
         raise DomainError(f"field arity {f.arity} does not match dimension {n}")
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random((samples, n))
-    points = origin + u @ matrix.T
+    # Coordinates that overflow reach f as inf, and f's evaluation refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = origin + u @ matrix.T
     values = f.evaluate(points) * abs(det)
     v0 = float(values[0])
     mean = v0 + math.fsum(_exact_parts(values - v0)) / samples

@@ -256,6 +256,13 @@ class TestCheckAntiderivative:
         with pytest.raises(DomainError, match="steps h must be positive and finite, got h="):
             check_antiderivative(f, F, self.BOX, h=h)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        f = field_from_expression("x1*x2", 2)
+        F = field_from_expression("x1^2*x2^2/4", 2)
+        with pytest.raises(DomainError, match="tolerance must be non-negative and finite, got tol="):
+            check_antiderivative(f, F, self.BOX, tol=tol)
+
     def test_stencil_escape(self):
         f = field_from_expression("x1", 1)
         with pytest.raises(DomainError, match="axis 1: stencil of half-width 0.6 escapes"):

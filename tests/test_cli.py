@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,10 @@ class TestIntegrate:
             capsys, ["integrate", "--f", "x1*x2", "--box", "1/3:2/3,0:1", "--exact"]
         )
         assert (code, out) == (0, "value = 1/12\n")
+
+    def test_exact_route_accepts_bounds_beyond_the_float_range(self, capsys):
+        code, out, err = run(capsys, ["integrate", "--f", "x1", "--box", "0:1e400", "--exact"])
+        assert (code, out, err) == (0, f"value = {10**800 // 2}\n", "")
 
     def test_exact_antiderivative_route(self, capsys):
         code, out, _ = run(
@@ -105,6 +110,18 @@ class TestIntegrate:
             (
                 ["integrate", "--F", "x1^2/2", "--box", "0:1", "--verify"],
                 "--verify needs --f",
+            ),
+            (
+                ["integrate", "--f", "x1", "--box", "0:1e400"],
+                "--box axis 1 upper bound '1e400' is outside the floating-point range",
+            ),
+            (
+                ["integrate", "--F", "x1*x2", "--box", "0:1,-1e400:0"],
+                "--box axis 2 lower bound '-1e400' is outside the floating-point range",
+            ),
+            (
+                ["integrate", "--f", "x1", "--box", "0:1e400", "--exact", "--verify"],
+                "--box axis 1 upper bound '1e400' is outside the floating-point range",
             ),
         ],
     )
@@ -430,3 +447,482 @@ class TestHarness:
             "",
             "error: axis 1: lower bound 1 exceeds upper bound 0\n",
         )
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["check-antiderivative", "--f", "1", "--F", "x1", "--box", "0:1e400"], "--box axis 1 upper bound '1e400'"),
+        (["subdivide-check", "--F", "x1", "--box", "0:1,1e400:1", "--grid", "1,1"], "--box axis 2 lower bound '1e400'"),
+        (["parallelotope", "--f", "x1", "--origin", "0", "--edges", "1e400"], "--edges entry '1e400'"),
+        (["parallelotope", "--f", "x1", "--origin", "1e400", "--edges", "1"], "--origin entry '1e400'"),
+        (["triangle", "--f", "1", "--p", "1e400,0", "--q", "1,0", "--r", "0,1"], "--p entry '1e400'"),
+        (["triangle", "--f", "1", "--p", "0,0", "--q", "1,-1e400", "--r", "0,1"], "--q entry '-1e400'"),
+        (["triangle", "--f", "1", "--p", "0,0", "--q", "1,0", "--r", "1e400,1"], "--r entry '1e400'"),
+    ],
+)
+def test_numbers_outside_the_float_range_are_usage_errors(capsys, args, what):
+    code, out, err = run(capsys, args)
+    assert (code, out, err) == (1, "", f"usage error: {what} is outside the floating-point range\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["parallelotope", "--f", "x1", "--origin", "0", "--edges", "1", "--verify", "--seed", "-1"],
+            "seed must be non-negative, got -1",
+        ),
+        (TestCheckAntiderivative.GOOD + ["--tol", "nan"], "tolerance must be non-negative and finite, got tol=nan"),
+        (TestCheckAntiderivative.GOOD + ["--tol", "-1"], "tolerance must be non-negative and finite, got tol=-1.0"),
+        (TestCheckAntiderivative.GOOD + ["--tol", "inf"], "tolerance must be non-negative and finite, got tol=inf"),
+        (TestTriangle.BASE + ["--sym-tol", "nan"], "tolerance must be non-negative and finite, got tol=nan"),
+        (TestTriangle.BASE + ["--sym-tol", "-1"], "tolerance must be non-negative and finite, got tol=-1.0"),
+    ],
+)
+def test_bad_seeds_and_tolerances_exit_3(capsys, args, message):
+    assert run(capsys, args) == (3, "", f"error: {message}\n")
+
+
+def test_readme_json_example_is_the_real_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("### JSON shape", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    _, out, _ = run(capsys, ["integrate", "--f", "x1*x2", "--box", "0:1,0:1", "--json"])
+    assert re.sub(r"\s", "", example) == re.sub(r"\s", "", out)
+
+
+# Every float in a masked golden reads '#', so cubature and Monte Carlo runs pin
+# their key order and every other field without depending on the last digits.
+FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?|-?\d+e[-+]\d+")
+
+# argv, masked, exit code, human stdout, --json stdout, stderr of both runs.
+GOLDENS = [
+    pytest.param(
+        ["integrate", "--f", "x1*x2", "--box", "0:1,0:1"],
+        False, 0,
+        "value = 0.25\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "0:1,0:1", "dim": 2, "f": "x1*x2", '
+            '"F": null, "exact": false, "verify": false, "order": 12, "panels": 4}, '
+            '"result": {"value": 0.25000000000000011}, "diagnostics": {"method": "vertex-sum", '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": 0}, '
+            '{"label": "01", "sign": -1, "antiderivative": 0}, {"label": "10", "sign": -1, '
+            '"antiderivative": 0}, {"label": "11", "sign": 1, '
+            '"antiderivative": 0.25000000000000011}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="integrate-f",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1*x2", "--box", "1/3:2/3,0:1", "--exact"],
+        False, 0,
+        "value = 1/12\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "1/3:2/3,0:1", "dim": 2, "f": "x1*x2", '
+            '"F": null, "exact": true, "verify": false, "order": 12, "panels": 4}, '
+            '"result": {"value": "1/12"}, "diagnostics": {"method": "vertex-sum-exact", '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": "0"}, '
+            '{"label": "01", "sign": -1, "antiderivative": "0"}, {"label": "10", "sign": -1, '
+            '"antiderivative": "0"}, {"label": "11", "sign": 1, "antiderivative": "1/12"}]}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="integrate-exact",
+    ),
+    pytest.param(
+        ["integrate", "--F", "x1^2*x2^2/4", "--box", "0:1,0:1", "--exact", "--dim", "2"],
+        False, 0,
+        "value = 1/4\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "0:1,0:1", "dim": 2, "f": null, '
+            '"F": "x1^2*x2^2/4", "exact": true, "verify": false, "order": 12, "panels": 4}, '
+            '"result": {"value": "1/4"}, "diagnostics": {"method": "vertex-sum-exact", '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": "0"}, '
+            '{"label": "01", "sign": -1, "antiderivative": "0"}, {"label": "10", "sign": -1, '
+            '"antiderivative": "0"}, {"label": "11", "sign": 1, "antiderivative": "1/4"}]}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="integrate-exact-F",
+    ),
+    pytest.param(
+        ["integrate", "--F", "x1^2*x2/2", "--box", "0:1/2,0:3/4"],
+        False, 0,
+        "value = 0.09375\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "0:1/2,0:3/4", "dim": 2, "f": null, '
+            '"F": "x1^2*x2/2", "exact": false, "verify": false, "order": 12, "panels": 4}, '
+            '"result": {"value": 0.09375}, "diagnostics": {"method": "vertex-sum", '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": 0}, '
+            '{"label": "01", "sign": -1, "antiderivative": 0}, {"label": "10", "sign": -1, '
+            '"antiderivative": 0}, {"label": "11", "sign": 1, "antiderivative": 0.09375}]}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="integrate-F",
+    ),
+    pytest.param(
+        ["integrate", "--F", "x1*x2*x3", "--box=-1:1,0:2,1/2:1"],
+        False, 0,
+        "value = 2\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "-1:1,0:2,1/2:1", "dim": 3, "f": null, '
+            '"F": "x1*x2*x3", "exact": false, "verify": false, "order": 12, "panels": 4}, '
+            '"result": {"value": 2}, "diagnostics": {"method": "vertex-sum", '
+            '"contributions": [{"label": "000", "sign": -1, "antiderivative": -0}, '
+            '{"label": "001", "sign": 1, "antiderivative": -0}, {"label": "010", "sign": 1, '
+            '"antiderivative": -1}, {"label": "011", "sign": -1, "antiderivative": -2}, '
+            '{"label": "100", "sign": 1, "antiderivative": 0}, {"label": "101", "sign": -1, '
+            '"antiderivative": 0}, {"label": "110", "sign": -1, "antiderivative": 1}, '
+            '{"label": "111", "sign": 1, "antiderivative": 2}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="integrate-F-3d",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1*x2", "--box", "0:1,0:1", "--verify"],
+        True, 0,
+        "value = #\noracle = #\nabs_diff = 0\nrel_diff = 0\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "0:1,0:1", "dim": 2, "f": "x1*x2", '
+            '"F": null, "exact": false, "verify": true, "order": 12, "panels": 4}, '
+            '"result": {"value": #, "oracle": #, "abs_diff": 0, "rel_diff": 0}, '
+            '"diagnostics": {"method": "vertex-sum", "contributions": [{"label": "00", '
+            '"sign": 1, "antiderivative": 0}, {"label": "01", "sign": -1, '
+            '"antiderivative": 0}, {"label": "10", "sign": -1, "antiderivative": 0}, '
+            '{"label": "11", "sign": 1, "antiderivative": #}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="integrate-verify",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1*x2", "--box", "0:1,0:1", "--exact", "--verify"],
+        True, 0,
+        "value = 1/4\noracle = #\nabs_diff = #\nrel_diff = #\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "0:1,0:1", "dim": 2, "f": "x1*x2", '
+            '"F": null, "exact": true, "verify": true, "order": 12, "panels": 4}, '
+            '"result": {"value": "1/4", "oracle": #, "abs_diff": #, "rel_diff": #}, '
+            '"diagnostics": {"method": "vertex-sum-exact", "contributions": [{"label": "00", '
+            '"sign": 1, "antiderivative": "0"}, {"label": "01", "sign": -1, '
+            '"antiderivative": "0"}, {"label": "10", "sign": -1, "antiderivative": "0"}, '
+            '{"label": "11", "sign": 1, "antiderivative": "1/4"}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="integrate-exact-verify",
+    ),
+    pytest.param(
+        [
+            "integrate", "--f", "exp(x1+x2)", "--box", "0:1,-1:1", "--order", "8", "--panels",
+            "2",
+        ],
+        True, 0,
+        "value = #\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "0:1,-1:1", "dim": 2, '
+            '"f": "exp(x1+x2)", "F": null, "exact": false, "verify": false, "order": 8, '
+            '"panels": 2}, "result": {"value": #}, "diagnostics": {"method": "vertex-sum", '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": 0}, '
+            '{"label": "01", "sign": -1, "antiderivative": 0}, {"label": "10", "sign": -1, '
+            '"antiderivative": 0}, {"label": "11", "sign": 1, "antiderivative": #}]}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="integrate-quadrature",
+    ),
+    pytest.param(
+        ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2^2/4", "--box", "0:1,0:1"],
+        True, 0,
+        (
+            "max_abs_deviation = #\nmax_rel_deviation = #\nworst_point = #, #\nresult: pass "
+            "(tol #)\n"
+        ),
+        (
+            '{"command": "check-antiderivative", "inputs": {"box": "0:1,0:1", "dim": 2, '
+            '"f": "x1*x2", "F": "x1^2*x2^2/4", "tol": #, "grid_points": 5, "h": null}, '
+            '"result": {"value": #}, "diagnostics": {"passed": true, "max_abs_deviation": #, '
+            '"max_rel_deviation": #, "worst_point": [#, #], "tol": #, "grid_points": 5, '
+            '"h": [#, #]}, "status": "ok"}\n'
+        ),
+        "",
+        id="check-pass",
+    ),
+    pytest.param(
+        ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2", "--box", "0:1,0:1"],
+        True, 4,
+        (
+            "max_abs_deviation = #\nmax_rel_deviation = #\nworst_point = #, #\nresult: FAIL "
+            "(tol #)\n"
+        ),
+        (
+            '{"command": "check-antiderivative", "inputs": {"box": "0:1,0:1", "dim": 2, '
+            '"f": "x1*x2", "F": "x1^2*x2", "tol": #, "grid_points": 5, "h": null}, '
+            '"result": {"value": #}, "diagnostics": {"passed": false, "max_abs_deviation": #, '
+            '"max_rel_deviation": #, "worst_point": [#, #], "tol": #, "grid_points": 5, '
+            '"h": [#, #]}, "status": "fail"}\n'
+        ),
+        "",
+        id="check-fail",
+    ),
+    pytest.param(
+        [
+            "check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2^2/4", "--box", "0:1,0:1",
+            "--tol", "0.001", "--grid-points", "3", "--h", "0.01",
+        ],
+        True, 0,
+        (
+            "max_abs_deviation = #\nmax_rel_deviation = #\nworst_point = #, #\nresult: pass "
+            "(tol #)\n"
+        ),
+        (
+            '{"command": "check-antiderivative", "inputs": {"box": "0:1,0:1", "dim": 2, '
+            '"f": "x1*x2", "F": "x1^2*x2^2/4", "tol": #, "grid_points": 3, "h": #}, '
+            '"result": {"value": #}, "diagnostics": {"passed": true, "max_abs_deviation": #, '
+            '"max_rel_deviation": #, "worst_point": [#, #], "tol": #, "grid_points": 3, '
+            '"h": [#, #]}, "status": "ok"}\n'
+        ),
+        "",
+        id="check-options",
+    ),
+    pytest.param(
+        ["parallelotope", "--f", "1", "--origin", "0,0", "--edges", "2,0;1,1"],
+        True, 0,
+        "value = 2\n",
+        (
+            '{"command": "parallelotope", "inputs": {"origin": "0,0", "edges": "2,0;1,1", '
+            '"f": "1", "verify": false, "samples": 100000, "seed": 42, "order": 12, '
+            '"panels": 4}, "result": {"value": #}, "diagnostics": {"method": "parallelotope", '
+            '"determinant": 2, "volume": 2, "contributions": [{"label": "00", "sign": 1, '
+            '"antiderivative": 0}, {"label": "01", "sign": -1, "antiderivative": 0}, '
+            '{"label": "10", "sign": -1, "antiderivative": 0}, {"label": "11", "sign": 1, '
+            '"antiderivative": #}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="parallelotope",
+    ),
+    pytest.param(
+        [
+            "parallelotope", "--f", "x1", "--origin", "0,0", "--edges", "2,0;1,1", "--verify",
+            "--samples", "1000", "--seed", "7",
+        ],
+        True, 0,
+        (
+            "value = 3\noracle = #\nabs_diff = #\nrel_diff = #\nmonte-carlo: stderr = #, "
+            "samples = 1000, seed = 7\n"
+        ),
+        (
+            '{"command": "parallelotope", "inputs": {"origin": "0,0", "edges": "2,0;1,1", '
+            '"f": "x1", "verify": true, "samples": 1000, "seed": 7, "order": 12, "panels": 4}, '
+            '"result": {"value": #, "oracle": #, "abs_diff": #, "rel_diff": #}, '
+            '"diagnostics": {"method": "parallelotope", "determinant": 2, "volume": 2, '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": 0}, '
+            '{"label": "01", "sign": -1, "antiderivative": 0}, {"label": "10", "sign": -1, '
+            '"antiderivative": 0}, {"label": "11", "sign": 1, "antiderivative": #}], '
+            '"oracle": {"method": "monte-carlo", "stderr": #, "samples": 1000, "seed": 7}}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="parallelotope-verify",
+    ),
+    pytest.param(
+        [
+            "triangle", "--f", "x1+x2", "--p", "0,0", "--q", "1,0", "--r", "0,1", "--order",
+            "12", "--panels", "16",
+        ],
+        True, 0,
+        "value = #\nsymmetry: pass (max deviation 0 at t = #, scale 1, tol #)\n",
+        (
+            '{"command": "triangle", "inputs": {"p": "0,0", "q": "1,0", "r": "0,1", '
+            '"f": "x1+x2", "sym_tol": #, "sym_samples": 17, "order": 12, "panels": 16}, '
+            '"result": {"value": #}, "diagnostics": {"method": "triangle", '
+            '"contributions": [{"label": "00", "sign": 1, "antiderivative": 0}, '
+            '{"label": "01", "sign": -1, "antiderivative": 0}, {"label": "10", "sign": -1, '
+            '"antiderivative": 0}, {"label": "11", "sign": 1, "antiderivative": #}], '
+            '"symmetry": {"passed": true, "max_deviation": 0, "worst_t": #, "scale": 1, '
+            '"samples": 17, "tol": #}}, "status": "ok"}\n'
+        ),
+        "",
+        id="triangle",
+    ),
+    pytest.param(
+        ["subdivide-check", "--F", "x1^2*x2^2/4", "--box", "0:1,0:1", "--grid", "2,1"],
+        False, 0,
+        "lhs = 0.25\nrhs = 0.25\nabs_diff = 0\nsubboxes = 2\n",
+        (
+            '{"command": "subdivide-check", "inputs": {"box": "0:1,0:1", "dim": 2, '
+            '"F": "x1^2*x2^2/4", "grid": "2,1"}, "result": {"value": 0.25}, '
+            '"diagnostics": {"lhs": 0.25, "rhs": 0.25, "abs_diff": 0, "subboxes": 2}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="subdivide",
+    ),
+    pytest.param(
+        [
+            "subdivide-check", "--F", "x1*x2*x3", "--box", "0:1,0:2,0:1/2", "--grid", "2,2,1",
+            "--dim", "3",
+        ],
+        False, 0,
+        "lhs = 1\nrhs = 1\nabs_diff = 0\nsubboxes = 4\n",
+        (
+            '{"command": "subdivide-check", "inputs": {"box": "0:1,0:2,0:1/2", "dim": 3, '
+            '"F": "x1*x2*x3", "grid": "2,2,1"}, "result": {"value": 1}, '
+            '"diagnostics": {"lhs": 1, "rhs": 1, "abs_diff": 0, "subboxes": 4}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="subdivide-3d",
+    ),
+    pytest.param(
+        ["impossibility"],
+        False, 0,
+        (
+            "diagonal 00-11: triangles (00,10,11) + (00,11,01): 0 of 64 assignments match; "
+            "shared coefficients {-2, 0, 2}\ndiagonal 01-10: triangles (00,10,01) + "
+            "(10,11,01): 0 of 64 assignments match; shared coefficients {-2, 0, 2}\n"
+            "0 of 64 assignments match, per triangulation; claim verified\n"
+        ),
+        (
+            '{"command": "impossibility", "inputs": {}, "result": {"value": 0}, '
+            '"diagnostics": {"target": [1, -1, -1, 1], "target_orbit": [[-1, 1, 1, -1], [1, '
+            '-1, -1, 1]], "searches": [{"diagonal": "00-11", "triangles": [["00", "10", "11"], '
+            '["00", "11", "01"]], "assignments": 64, "target_matches": 0, '
+            '"shared_coefficient_values": [-2, 0, 2], "zero_vector_matches": 0, '
+            '"cancelling_shared_patterns": 4}, {"diagonal": "01-10", "triangles": [["00", '
+            '"10", "01"], ["10", "11", "01"]], "assignments": 64, "target_matches": 0, '
+            '"shared_coefficient_values": [-2, 0, 2], "zero_vector_matches": 0, '
+            '"cancelling_shared_patterns": 4}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="impossibility",
+    ),
+    pytest.param(
+        ["integrate", "--box", "0:1"],
+        False, 1,
+        "",
+        "",
+        "usage error: give exactly one of --f or --F\n",
+        id="usage-no-integrand",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1"],
+        False, 1,
+        "",
+        "",
+        "usage error: the following arguments are required: --box\n",
+        id="usage-missing-flag",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--box", "0:x"],
+        False, 1,
+        "",
+        "",
+        "usage error: invalid --box axis 1 upper bound 'x': expected a number\n",
+        id="usage-bad-number",
+    ),
+    pytest.param(
+        ["subdivide-check", "--F", "x1", "--box", "0:1", "--grid", "1", "--dim", "2"],
+        False, 1,
+        "",
+        "",
+        "usage error: --dim 2 does not match the 1-axis box\n",
+        id="usage-dim",
+    ),
+    pytest.param(
+        ["subdivide-check", "--F", "x1*x2", "--box", "0:1,0:1", "--grid", "1"],
+        False, 1,
+        "",
+        "",
+        "usage error: --grid needs 2 entries, got 1\n",
+        id="usage-grid",
+    ),
+    pytest.param(
+        ["triangle", "--f", "1", "--p", "0,0,0", "--q", "1,0", "--r", "0,1"],
+        False, 1,
+        "",
+        "",
+        "usage error: --p must have 2 coordinates, got 3\n",
+        id="usage-vertex",
+    ),
+    pytest.param(
+        ["parallelotope", "--f", "1", "--origin", "0,0", "--edges", "1,2;2"],
+        False, 1,
+        "",
+        "",
+        "usage error: --edges must give 2 columns of 2 entries each\n",
+        id="usage-edges",
+    ),
+    pytest.param(
+        ["check-antiderivative", "--f", "x1*", "--F", "x1", "--box", "0:1"],
+        False, 2,
+        "",
+        "",
+        "parse error: unexpected token 'end of input' (at offset 3)\n  x1*\n     ^\n",
+        id="parse-caret",
+    ),
+    pytest.param(
+        ["integrate", "--f", "sin(x1)", "--box", "0:1", "--exact"],
+        False, 2,
+        "",
+        "",
+        "parse error: 'sin' is not polynomial\n",
+        id="parse-non-polynomial",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--box", "1:0"],
+        False, 3,
+        "",
+        "",
+        "error: axis 1: lower bound 1 exceeds upper bound 0\n",
+        id="domain-box",
+    ),
+    pytest.param(
+        ["parallelotope", "--f", "1", "--origin", "0,0", "--edges", "1,2;2,4"],
+        False, 3,
+        "",
+        "",
+        "error: edge matrix is singular or nearly singular (det 0)\n",
+        id="domain-singular",
+    ),
+    pytest.param(
+        ["triangle", "--f", "1", "--p", "0,0", "--q", "1,1", "--r", "2,2"],
+        False, 3,
+        "",
+        "",
+        "error: degenerate triangle: area 0.000e+00 below threshold for perimeter 5.66\n",
+        id="domain-degenerate",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--box", "0:1", "--verify", "--order", "40"],
+        False, 3,
+        "",
+        "",
+        "error: nodes per panel must be in [2, 32], got 40\n",
+        id="domain-quadrature",
+    ),
+    pytest.param(
+        [
+            "triangle", "--f", "x1", "--p", "0,0", "--q", "1,0", "--r", "0,1", "--order", "12",
+            "--panels", "16",
+        ],
+        False, 4,
+        "",
+        "",
+        (
+            "error: integrand is not symmetric along the segment QR: "
+            "worst deviation 9.444444e-01 at t = 0.944444 "
+            "(tolerance 1e-09 relative to scale 0.972222)\n"
+        ),
+        id="check-asymmetric",
+    ),
+
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+@pytest.mark.parametrize("argv, masked, code, human, json_out, err", GOLDENS)
+def test_full_output_golden(capsys, argv, masked, code, human, json_out, err, as_json):
+    got_code, out, got_err = run(capsys, argv + ["--json"] if as_json else argv)
+    if masked:
+        out = FLOAT.sub("#", out)
+    assert (got_code, out, got_err) == (code, json_out if as_json else human, err)

@@ -376,6 +376,11 @@ class TestSegmentSymmetry:
         with pytest.raises(DomainError, match="at least one sample"):
             check_segment_symmetry(f, self.Q, self.R, samples=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        with pytest.raises(DomainError, match="tolerance must be non-negative and finite, got tol="):
+            check_segment_symmetry(field_from_expression("1", 2), self.Q, self.R, tol=tol)
+
     def test_mirror_extension_values(self):
         f = field_from_expression("x1", 2)
         extended = mirror_extend(f, (0.0, 0.0), self.Q, self.R)

@@ -461,6 +461,17 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="at least 2 samples"):
             monte_carlo_affine(f, (0.0,), [[1.0]], 1, 0)
 
+    def test_rejects_a_negative_seed(self):
+        f = field_from_expression("1", 1)
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            monte_carlo_affine(f, (0.0,), [[1.0]], 100, -1)
+
+    def test_overflowing_points_raise_without_a_warning(self):
+        # The suite turns a leaked RuntimeWarning into an error.
+        f = field_from_expression("x1", 1)
+        with pytest.raises(EvalError, match="non-finite result in 'x1' at point"):
+            monte_carlo_affine(f, (1e308,), [[1e308]], 100, 1)
+
     def test_shape_check(self):
         f = field_from_expression("1", 2)
         with pytest.raises(DomainError, match="edge matrix"):
