@@ -6,8 +6,9 @@ together, so a batch of points or a slab of a quadrature tensor grid costs
 one call.  The numeric antiderivative of f based at a corner a is
 F(x) = integral of f over the sub-box [a, x]; its mixed partial (one
 derivative per axis) recovers f, which check_antiderivative verifies on an
-interior grid with central differences, evaluating F once on the tensor
-grid of all stencil corners.
+interior grid with central differences: F is evaluated once on the tensor
+grid of all stencil corners, and each stencil is a cell of that grid
+(geometry.cell_vertex_sums).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import expression as ex
 from . import polycalc
-from .errors import DomainError, GaugeDependenceError
-from .geometry import Hypercuboid, vertex_signs
+from .errors import BudgetExceededError, DomainError, GaugeDependenceError
+from .geometry import Hypercuboid, cell_vertex_sums
 from .oracle import QuadratureConfig, gauss_legendre_box
 
 _GAUGE_SPOT_SEED = 177113
@@ -191,21 +192,32 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
 
     `axes[j]` lists the coordinates of axis j+1; the result has shape
     (len(axes[0]), ..., len(axes[-1])), in C order, so its flat order is
-    that of itertools.product(*axes).  The points go to `field.evaluate`
-    in C-order runs of at most _EVAL_BLOCK rows, so memory beyond the
-    values stays bounded.
+    that of itertools.product(*axes).  Each distinct coordinate of an axis
+    is evaluated once, its first occurrence standing for all equal ones
+    (so -0.0 after 0.0 reads as 0.0).  A grid of more distinct points than
+    QuadratureConfig().max_evals is refused before anything is allocated.
+    The points go to `field.evaluate` in C-order runs of at most
+    _EVAL_BLOCK rows, so memory beyond the values stays bounded.
     """
-    axes = [np.asarray(axis, dtype=float) for axis in axes]
-    shape = tuple(len(axis) for axis in axes)
+    distinct, where = [], []
+    for axis in axes:
+        first: dict[float, int] = {}
+        where.append([first.setdefault(c, len(first)) for c in np.asarray(axis, dtype=float).tolist()])
+        distinct.append(np.array(list(first), dtype=float))
+    shape = tuple(len(axis) for axis in distinct)
+    budget = QuadratureConfig().max_evals
+    if math.prod(shape) > budget:
+        raise BudgetExceededError(f"{'*'.join(map(str, shape))} grid points exceed the budget {budget}")
     values = np.empty(math.prod(shape))
     for start in range(0, values.size, _EVAL_BLOCK):
         rem = np.arange(start, min(start + _EVAL_BLOCK, values.size))
-        points = np.empty((len(rem), len(axes)))
-        for j in reversed(range(len(axes))):
+        points = np.empty((len(rem), len(distinct)))
+        for j in reversed(range(len(distinct))):
             rem, index = np.divmod(rem, shape[j])
-            points[:, j] = axes[j][index]
+            points[:, j] = distinct[j][index]
         values[start : start + len(points)] = field.evaluate(points)
-    return values.reshape(shape)
+    values = values.reshape(shape)
+    return values if values.size == math.prod(map(len, where)) else values[np.ix_(*where)]
 
 
 def _check_steps(h: tuple[float, ...]) -> None:
@@ -218,18 +230,12 @@ def _stencil_sums(F, centres, h) -> list[float]:
     """mixed_partial of F at every point of the tensor grid of `centres`, in product order.
 
     All stencil corners lie on one tensor grid, x - h_j and x + h_j for each
-    centre x on axis j, evaluated once.  Each point's value is the exact sum
-    of its 2**n signed corner values, divided by prod_j (2 h_j).
+    centre x on axis j, evaluated once.  Each point's stencil is a cell at
+    stride 2 of that grid: its exact vertex sum, divided by prod_j (2 h_j).
     """
-    n = len(centres)
     corners = [np.column_stack([c - step, c + step]).ravel() for c, step in zip(centres, h)]
-    values = evaluate_on_grid(F, corners)
-    # Axes (x1, bit1, ..., xn, bitn) -> rows in product order, columns in label order.
-    values = values.reshape(sum(((len(c), 2) for c in centres), ()))
-    values = values.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1, 2**n)
-    signs = np.array(vertex_signs(n), dtype=float)
     scale = math.prod(2.0 * step for step in h)
-    return [math.fsum(row) / scale for row in (values * signs).tolist()]
+    return [total / scale for total in cell_vertex_sums(evaluate_on_grid(F, corners), stride=2)]
 
 
 def mixed_partial(F, x, h) -> float:
@@ -282,8 +288,8 @@ def check_antiderivative(
     h defaulting to 1e-3 of each axis extent.  Relative deviation is
     |diff| / max(1, |f(x)|); the check passes when the largest relative
     deviation stays within `tol`.  F is evaluated once on the tensor grid
-    of all stencil corners, (2 * grid_points)**n points, and f once on the
-    grid, each in slabs (see evaluate_on_grid).  Every value, sum and
+    of all stencil corners, at most (2 * grid_points)**n distinct points,
+    and f once on the grid (see evaluate_on_grid).  Every value, sum and
     deviation equals that of one mixed_partial and one f call per grid
     point, bit for bit, and ties for the worst point go to the first in
     product order.

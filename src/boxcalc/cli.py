@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -64,7 +65,15 @@ class _Record(NamedTuple):
     code: int = EXIT_OK
 
 
+# A value such as -1:1 or -1e-3 is an argument, not an option: no flag starts with a digit.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str):
         raise UsageError(message)
 
@@ -356,12 +365,12 @@ def _add_json_flag(parser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one machine-readable JSON object")
 
 
-def _add_quad_flags(parser, order: int = 12, panels: int = 4) -> None:
+def _add_quad_flags(parser, quad: QuadratureConfig = QuadratureConfig()) -> None:
     parser.add_argument(
-        "--order", type=int, default=order, help=f"quadrature nodes per panel (default {order})"
+        "--order", type=int, default=quad.nodes, help=f"quadrature nodes per panel (default {quad.nodes})"
     )
     parser.add_argument(
-        "--panels", type=int, default=panels, help=f"quadrature panels per axis (default {panels})"
+        "--panels", type=int, default=quad.panels, help=f"quadrature panels per axis (default {quad.panels})"
     )
 
 
@@ -417,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym-tol", type=float, default=1e-9, help="symmetry tolerance (default 1e-9)")
     p.add_argument("--sym-samples", type=int, default=17, help="symmetry sample count (default 17)")
     # dense default: the extended integrand has a gradient seam along QR
-    _add_quad_flags(p, order=32, panels=192)
+    _add_quad_flags(p, ftc.TRIANGLE_QUAD)
     _add_json_flag(p)
     p.set_defaults(
         func=cmd_triangle, inputs=("p", "q", "r", "f", "sym_tol", "sym_samples", "order", "panels")

@@ -2,14 +2,14 @@
 
 The central identity: the integral of f over a box equals the alternating
 sum of an antiderivative F over the box's 2**n vertices, signed by parity of
-the number of lower-bound coordinates.  For a parallelotope the same sum
-runs over the images of the unit-box vertices with signs given by graph
-distance from the marked vertex (the image of the all-ones corner), using
-the pulled-back integrand f(origin + T u) |det T|.
+the number of lower-bound coordinates.  A parallelotope's integral is that
+sum on the unit box for the pulled-back integrand f(origin + T u) |det T|;
+the sign's parity is the graph distance from the marked vertex (the image
+of the all-ones corner).
 
-All vertex sums go through math.fsum (exact summation), so a degenerate box
-cancels to exactly 0.0 pairwise and the vertex visit order cannot change any
-result.
+Every vertex sum is F on a tensor grid, then one math.fsum per cell
+(geometry.cell_vertex_sums), so a degenerate box cancels to exactly 0.0
+pairwise and the vertex visit order cannot change any result.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from .geometry import (
     Hypercuboid,
     Parallelotope,
     VertexLabel,
-    graph_distance,
+    cell_vertex_sums,
     grid_breakpoints,
-    vertex_sign,
     vertex_signs,
 )
 from .oracle import QuadratureConfig
@@ -94,7 +93,8 @@ def with_oracle(result: IntegralResult, oracle_value: float) -> IntegralResult:
 def integrate_box(F, box: Hypercuboid) -> IntegralResult:
     """Alternating vertex sum of an antiderivative over a box.
 
-    The distinct vertices take one F.evaluate.  Coincident vertices
+    F is evaluated once on the grid of per-axis bounds [a_j, b_j] (see
+    evaluate_on_grid), whose C order is label order.  Coincident vertices
     (degenerate axes) are evaluated once, so their contributions are
     bitwise identical and the exact sum cancels them to 0.0 pairwise
     rather than by rounding.
@@ -103,17 +103,10 @@ def integrate_box(F, box: Hypercuboid) -> IntegralResult:
         raise DomainError(
             f"antiderivative arity {F.arity} does not match box dimension {box.dim}"
         )
+    values = evaluate_on_grid(F, [[float(a), float(b)] for a, b in zip(box.lower, box.upper)])
     labels = [VertexLabel.from_index(i, box.dim) for i in range(2**box.dim)]
-    rows: dict[tuple[float, ...], int] = {}
-    index = [
-        rows.setdefault(tuple(float(c) for c in box.vertex_point(label)), len(rows))
-        for label in labels
-    ]
-    values = F.evaluate(np.array(list(rows))).tolist()
-    contributions = tuple(
-        (label, vertex_sign(label), values[i]) for label, i in zip(labels, index)
-    )
-    value = math.fsum(sign * value for _, sign, value in contributions) + 0.0
+    contributions = tuple(zip(labels, vertex_signs(box.dim), values.ravel().tolist()))
+    value = cell_vertex_sums(values)[0] + 0.0
     return IntegralResult(value=value, method="vertex-sum", contributions=contributions)
 
 
@@ -161,16 +154,8 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
             f"antiderivative arity {F.arity} does not match box dimension {box.dim}"
         )
     values = evaluate_on_grid(F, [[float(c) for c in bp] for bp in breakpoints])
-    labels = list(itertools.product((0, 1), repeat=box.dim))
-    signs = np.array(vertex_signs(box.dim), dtype=float)
-    # Row c holds cell c's corner values in label order, cells in product order.
-    corners = np.stack(
-        [values[tuple(slice(1, None) if bit else slice(-1) for bit in label)].ravel() for label in labels],
-        axis=1,
-    )
-    cells = [math.fsum(cell) + 0.0 for cell in (corners * signs).tolist()]
-    whole = [values[tuple(-1 if bit else 0 for bit in label)] for label in labels]
-    lhs = math.fsum((whole * signs).tolist()) + 0.0
+    cells = [total + 0.0 for total in cell_vertex_sums(values)]
+    lhs = cell_vertex_sums(values[np.ix_(*[[0, -1]] * box.dim)])[0] + 0.0
     rhs = math.fsum(cells) + 0.0
     return CompositionalityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), subboxes=len(cells))
 
@@ -219,29 +204,22 @@ def integrate_parallelotope(
 ) -> IntegralResult:
     """Integrate f over a parallelotope by a signed vertex sum.
 
-    Change of variables maps the unit box onto the parallelotope; the
-    antiderivative of the pulled-back integrand f(origin + T u) |det T| is
-    summed over the unit-box corners with sign (-1)**(graph distance to the
-    marked all-ones corner).  `order` optionally permutes the visit order of
-    the 2**n vertices; the exact summation makes the value independent of it.
+    Change of variables maps the unit box onto the parallelotope:
+    integrate_box_from_f integrates the pulled-back integrand f(origin + T u)
+    |det T| over the unit box.  `order` optionally permutes the visit order
+    of the 2**n contributions; the exact summation makes the value
+    independent of it.
     """
     n = p.dim
     if f.arity != n:
         raise DomainError(f"field arity {f.arity} does not match dimension {n}")
     g = pullback_field(f, p.origin, p.matrix, abs(p.det))
-    F = numeric_antiderivative(g, (0.0,) * n, quad)
     indices = list(range(2**n)) if order is None else [int(i) for i in order]
     if sorted(indices) != list(range(2**n)):
         raise DomainError(f"order must be a permutation of 0..{2**n - 1}")
-    marked = VertexLabel((1,) * n)
-    labels = [VertexLabel.from_index(i, n) for i in indices]
-    values = F.evaluate(np.array([label.bits for label in labels], dtype=float)).tolist()
-    contributions = tuple(
-        (label, -1 if graph_distance(label, marked) % 2 else 1, value)
-        for label, value in zip(labels, values)
-    )
-    total = math.fsum(sign * value for _, sign, value in contributions) + 0.0
-    return IntegralResult(value=total, method="parallelotope", contributions=contributions)
+    unit = integrate_box_from_f(g, Hypercuboid((0.0,) * n, (1.0,) * n), quad)
+    contributions = tuple(unit.contributions[i] for i in indices)
+    return IntegralResult(value=unit.value, method="parallelotope", contributions=contributions)
 
 
 def _cross2(u, v) -> float:
@@ -323,7 +301,7 @@ def mirror_extend(f, p, q, r) -> ScalarField:
 # converge only as (nodes*panels)**-2 against that seam, so the triangle
 # path defaults to a much denser rule than the smooth-integrand default:
 # 32*192 points per axis puts unit-scale examples near 3e-9.
-_TRIANGLE_QUAD = QuadratureConfig(nodes=32, panels=192)
+TRIANGLE_QUAD = QuadratureConfig(nodes=32, panels=192)
 
 
 def integrate_triangle_symmetric(
@@ -363,7 +341,7 @@ def integrate_triangle_symmetric(
         raise SymmetryError(report)
     extended = mirror_extend(f, pv, qv, rv)
     parallelogram = Parallelotope.from_edge_vectors(tuple(pv), (tuple(qv - pv), tuple(rv - pv)))
-    inner = integrate_parallelotope(extended, parallelogram, quad or _TRIANGLE_QUAD)
+    inner = integrate_parallelotope(extended, parallelogram, quad or TRIANGLE_QUAD)
     return IntegralResult(
         value=0.5 * inner.value,
         method="triangle",

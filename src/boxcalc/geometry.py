@@ -82,7 +82,26 @@ def vertex_sign(label) -> int:
 
 def vertex_signs(dim: int) -> list[int]:
     """vertex_sign of every label of a dim-dimensional box, in label order."""
-    return [vertex_sign(VertexLabel.from_index(i, dim)) for i in range(2**dim)]
+    # Label i (see VertexLabel.from_index) has dim - popcount(i) zero bits.
+    return [-1 if (dim - i.bit_count()) % 2 else 1 for i in range(2**dim)]
+
+
+def cell_vertex_sums(values, stride: int = 1) -> list[float]:
+    """Exact signed vertex sum of every cell of a tensor grid of values.
+
+    `values[i1, ..., in]` is F at grid point (i1, ..., in).  A cell spans
+    indices i and i+1 along each axis, for i = 0, stride, 2*stride, ...;
+    its sum is one math.fsum of vertex_sign * F over its 2**n corners, in
+    label order.  Returns the raw sums, cells in C order.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    n = values.ndim
+    cells = tuple((size - 2) // stride + 1 for size in values.shape)
+    # A view whose last n axes walk a cell's corners, so row c is cell c in label order.
+    strides = tuple(stride * step for step in values.strides) + values.strides
+    corners = np.ndarray(cells + (2,) * n, float, values, 0, strides)
+    signs = np.array(vertex_signs(n), dtype=float)
+    return [math.fsum(cell) for cell in (corners.reshape(-1, 2**n) * signs).tolist()]
 
 
 def graph_distance(u, v) -> int:

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from . import expression as ex
 from .errors import BoxcalcError, DomainError, InternalCheckError
-from .geometry import Hypercuboid
+from .geometry import Hypercuboid, vertex_signs
 
 
 class NonPolynomialError(BoxcalcError):
@@ -319,7 +319,7 @@ def poly_vertex_values(p: Polynomial, box) -> list[tuple[tuple[int, ...], int, F
         raise DomainError(f"box has {len(lo)} axes, arity is {p.arity}")
     labels = list(itertools.product((0, 1), repeat=len(lo)))
     values = _values_at(p, list(zip(lo, hi)), labels)
-    return [(bits, -1 if bits.count(0) % 2 else 1, v) for bits, v in zip(labels, values)]
+    return list(zip(labels, vertex_signs(len(lo)), values))
 
 
 def poly_vertex_sum(p: Polynomial, box) -> Fraction:

@@ -915,6 +915,63 @@ GOLDENS = [
         ),
         id="check-asymmetric",
     ),
+    # A flag value that starts with '-' and a digit is a value, not an option.
+    pytest.param(
+        ["integrate", "--f", "x1", "--box", "-1:1"],
+        True, 0,
+        "value = #\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "-1:1", "dim": 1, "f": "x1", "F": null, '
+            '"exact": false, "verify": false, "order": 12, "panels": 4}, "result": {"value": #}, '
+            '"diagnostics": {"method": "vertex-sum", "contributions": [{"label": "0", "sign": -1, '
+            '"antiderivative": 0}, {"label": "1", "sign": 1, "antiderivative": #}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="negative-box-bound",
+    ),
+    pytest.param(
+        ["parallelotope", "--f", "1", "--origin", "-1,0", "--edges", "1,0;0,1"],
+        True, 0,
+        "value = 1\n",
+        (
+            '{"command": "parallelotope", "inputs": {"origin": "-1,0", "edges": "1,0;0,1", "f": "1", '
+            '"verify": false, "samples": 100000, "seed": 42, "order": 12, "panels": 4}, '
+            '"result": {"value": #}, "diagnostics": {"method": "parallelotope", "determinant": 1, '
+            '"volume": 1, "contributions": [{"label": "00", "sign": 1, "antiderivative": 0}, '
+            '{"label": "01", "sign": -1, "antiderivative": 0}, {"label": "10", "sign": -1, '
+            '"antiderivative": 0}, {"label": "11", "sign": 1, "antiderivative": #}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="negative-origin",
+    ),
+    pytest.param(
+        ["check-antiderivative", "--f", "1", "--F", "x1", "--box", "0:1", "--h", "-1e-3"],
+        False, 3,
+        "",
+        "",
+        "error: all steps h must be positive and finite, got h=(-0.001,)\n",
+        id="negative-step",
+    ),
+    # Grids far beyond memory are refused before anything is allocated.
+    pytest.param(
+        [
+            "check-antiderivative", "--f", "x1*x2*x3", "--F", "x1^2*x2^2*x3^2/8",
+            "--box", "0:1,0:1,0:1", "--grid-points", "3000",
+        ],
+        False, 3,
+        "",
+        "",
+        "error: 6000*6000*6000 grid points exceed the budget 100000000\n",
+        id="budget-check",
+    ),
+    pytest.param(
+        ["subdivide-check", "--F", "x1*x2*x3", "--box", "0:1,0:1,0:1", "--grid", "5000,5000,5000"],
+        False, 3,
+        "",
+        "",
+        "error: 5001*5001*5001 grid points exceed the budget 100000000\n",
+        id="budget-subdivide",
+    ),
 
 ]
 

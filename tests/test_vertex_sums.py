@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcalc import (
+    BudgetExceededError,
     Hypercuboid,
     IntegralResult,
+    Parallelotope,
     QuadratureConfig,
     check_antiderivative,
     compositionality_check,
@@ -26,6 +28,7 @@ from boxcalc import (
     field_from_expression,
     field_from_polynomial,
     integrate_box,
+    integrate_parallelotope,
     mixed_partial,
     numeric_antiderivative,
     poly_mixed_partial,
@@ -34,6 +37,7 @@ from boxcalc import (
     vertices_lex,
 )
 from boxcalc import antiderivative
+from boxcalc.geometry import VertexLabel, cell_vertex_sums, vertex_signs
 from helpers import random_polynomial
 
 # --- the per-point loops -------------------------------------------------------
@@ -276,3 +280,91 @@ def test_slabs_of_any_size_give_the_same_report(monkeypatch, block):
     assert bits((got.max_abs_deviation, got.max_rel_deviation, got.worst_point)) == bits(
         (want.max_abs_deviation, want.max_rel_deviation, want.worst_point)
     )
+
+
+def test_a_repeated_stencil_corner_is_evaluated_once():
+    # Centres 0.25, 0.5, 0.75 with h = 0.25: corners 0, 0.5, 0.25, 0.75, 0.5, 1.
+    f, _ = _recording(lambda p: np.ones(len(p)), 1)
+    F, rows = _recording(lambda p: p[:, 0], 1)
+    report = check_antiderivative(f, F, Hypercuboid((0.0,), (1.0,)), grid_points=3, h=0.25)
+    assert report.passed
+    assert sum(rows) == 5
+
+
+# --- the cell kernel ---------------------------------------------------------------
+
+
+def ref_cell_vertex_sums(values, stride):
+    """One math.fsum per cell, looping over cells and over their corners."""
+    starts = [range(0, size - 1, stride) for size in values.shape]
+    labels = list(itertools.product((0, 1), repeat=values.ndim))
+    return [
+        math.fsum(vertex_sign(label) * float(values[tuple(i + b for i, b in zip(start, label))]) for label in labels)
+        for start in itertools.product(*starts)
+    ]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_cell_vertex_sums_match_the_per_cell_loop(stride, dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(2 * int(n) for n in rng.integers(1, 4, dim))
+    # Signed zeros, repeated values and values that cancel exactly.
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 1e300, -1e300, 1e-300, 3.0])
+    values = pool[rng.integers(0, len(pool), shape)]
+    # A degenerate axis: equal coordinates, so equal values on neighbouring slices.
+    axis = int(rng.integers(0, dim))
+    values[(slice(None),) * axis + (slice(1, None, 2),)] = values[(slice(None),) * axis + (slice(0, -1, 2),)]
+    got = cell_vertex_sums(values, stride)
+    assert bits(got) == bits(ref_cell_vertex_sums(values, stride))
+    assert len(got) == math.prod((size - 2) // stride + 1 for size in shape)
+
+
+def test_cell_vertex_sums_of_zeros_keep_their_sign():
+    assert bits(cell_vertex_sums(np.array([0.0, -0.0]))) == bits([math.fsum([-0.0, -0.0])])
+    assert bits(cell_vertex_sums(np.array([-0.0, 0.0]))) == bits([math.fsum([0.0, 0.0])])
+
+
+def test_vertex_signs_are_vertex_sign_in_label_order():
+    for n in range(1, 11):
+        assert vertex_signs(n) == [vertex_sign(VertexLabel.from_index(i, n)) for i in range(2**n)]
+
+
+def test_parallelotope_signs_are_the_box_signs():
+    p = Parallelotope.from_edge_vectors((0.5, -1.0, 0.0), ((1.0, 0.2, 0.0), (0.0, 2.0, 0.1), (0.3, 0.0, 1.0)))
+    order = [5, 0, 7, 2, 4, 1, 6, 3]
+    result = integrate_parallelotope(field_from_expression("1+x1*x2+x3^2", 3), p, CHEAP, order=order)
+    assert [label.as_index() for label, _, _ in result.contributions] == order
+    assert [sign for _, sign, _ in result.contributions] == [vertex_sign(label) for label, _, _ in result.contributions]
+
+
+# --- the grid evaluation budget ------------------------------------------------------
+
+
+def test_grid_beyond_the_budget_is_refused_before_any_evaluation():
+    F, rows = _recording(lambda p: p[:, 0], 3)
+    axes = [np.linspace(0.0, 1.0, 6000)] * 3
+    with pytest.raises(BudgetExceededError, match=r"6000\*6000\*6000 grid points exceed the budget 100000000"):
+        antiderivative.evaluate_on_grid(F, axes)
+    assert rows == []
+
+
+def test_budget_counts_distinct_points():
+    F, rows = _recording(lambda p: p[:, 0] + p[:, 1], 2)
+    values = antiderivative.evaluate_on_grid(F, [[0.0] * 20000, [1.0, 2.0]])
+    assert rows == [2] and values.shape == (20000, 2)
+
+
+def test_check_beyond_the_budget_is_refused():
+    f = field_from_expression("x1*x2*x3", 3)
+    F = field_from_expression("x1^2*x2^2*x3^2/8", 3)
+    with pytest.raises(BudgetExceededError, match="exceed the budget"):
+        check_antiderivative(f, F, Hypercuboid((0.0,) * 3, (1.0,) * 3), grid_points=3000)
+
+
+def test_subdivision_beyond_the_budget_is_refused():
+    F = field_from_expression("x1*x2*x3", 3)
+    cuts = [[i / 5000 for i in range(1, 5000)]] * 3
+    with pytest.raises(BudgetExceededError, match=r"5001\*5001\*5001 grid points"):
+        compositionality_check(F, Hypercuboid((0.0,) * 3, (1.0,) * 3), cuts)
