@@ -14,6 +14,7 @@ grid of all stencil corners, and each stencil is a cell of that grid
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import expression as ex
 from . import polycalc
-from .errors import BudgetExceededError, DomainError, GaugeDependenceError
+from .errors import DomainError, GaugeDependenceError
 from .geometry import Hypercuboid, cell_vertex_sums
-from .oracle import QuadratureConfig, gauss_legendre_box
+from .oracle import QuadratureConfig, evaluate_on_grid, gauss_legendre_box
 
 _GAUGE_SPOT_SEED = 177113
 
@@ -35,11 +36,13 @@ class ScalarField:
     `fn` takes a tuple of `arity` arrays, column j holding the values of
     x{j+1}, that broadcast together, and returns the values at their
     broadcast shape.  The columns may be those of a (count, arity) batch
-    of points, or each axis's nodes of a tensor grid shaped to lie along
-    its own axis (see gauss_legendre_box).  Evaluation is deterministic:
-    the same points produce bitwise the same values, however they are
-    batched or broadcast.  `tag` records provenance (expression,
-    polynomial, builtin, pullback, numeric-antiderivative, gauge-shifted).
+    of points (`evaluate`), or one tile of a tensor grid, each axis's
+    coordinates shaped to lie along its own axis: cubature rules and grids
+    of F values both reach `fn` that way (oracle.evaluate_on_grid,
+    gauss_legendre_box).  Evaluation is deterministic: the same points
+    produce bitwise the same values, however they are batched or
+    broadcast.  `tag` records provenance (expression, polynomial, builtin,
+    pullback, numeric-antiderivative, gauge-shifted).
     """
 
     arity: int
@@ -182,48 +185,15 @@ def numeric_antiderivative(
     return field_from_callable(value_at, f.arity, tag="numeric-antiderivative")
 
 
-# Rows per evaluate() call on a tensor grid: a memory bound on the stacked
-# (rows, n) points, which a field built on a callable needs.
-_EVAL_BLOCK = 1 << 20
-
-
-def evaluate_on_grid(field, axes) -> np.ndarray:
-    """Values of a field on the tensor grid of per-axis coordinates.
-
-    `axes[j]` lists the coordinates of axis j+1; the result has shape
-    (len(axes[0]), ..., len(axes[-1])), in C order, so its flat order is
-    that of itertools.product(*axes).  Each distinct coordinate of an axis
-    is evaluated once, its first occurrence standing for all equal ones
-    (so -0.0 after 0.0 reads as 0.0).  A grid of more distinct points than
-    QuadratureConfig().max_evals is refused before anything is allocated.
-    The points go to `field.evaluate` in C-order runs of at most
-    _EVAL_BLOCK rows, so memory beyond the values stays bounded.
-    """
-    distinct, where = [], []
-    for axis in axes:
-        first: dict[float, int] = {}
-        where.append([first.setdefault(c, len(first)) for c in np.asarray(axis, dtype=float).tolist()])
-        distinct.append(np.array(list(first), dtype=float))
-    shape = tuple(len(axis) for axis in distinct)
-    budget = QuadratureConfig().max_evals
-    if math.prod(shape) > budget:
-        raise BudgetExceededError(f"{'*'.join(map(str, shape))} grid points exceed the budget {budget}")
-    values = np.empty(math.prod(shape))
-    for start in range(0, values.size, _EVAL_BLOCK):
-        rem = np.arange(start, min(start + _EVAL_BLOCK, values.size))
-        points = np.empty((len(rem), len(distinct)))
-        for j in reversed(range(len(distinct))):
-            rem, index = np.divmod(rem, shape[j])
-            points[:, j] = distinct[j][index]
-        values[start : start + len(points)] = field.evaluate(points)
-    values = values.reshape(shape)
-    return values if values.size == math.prod(map(len, where)) else values[np.ix_(*where)]
-
-
 def _check_steps(h: tuple[float, ...]) -> None:
     # Written so that NaN fails too: every comparison with NaN is false.
     if not all(0.0 < step < math.inf for step in h):
         raise DomainError(f"all steps h must be positive and finite, got h={h}")
+    # Every vertex sum is divided by this scale: a subnormal one loses
+    # digits silently, and zero or inf all of them.
+    scale = math.prod(2.0 * step for step in h)
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError(f"the stencil scale prod(2*h) = {scale:.3g} is not a normal float, got h={h}")
 
 
 def _stencil_sums(F, centres, h) -> list[float]:
@@ -242,8 +212,9 @@ def mixed_partial(F, x, h) -> float:
     """Central-difference mixed partial of F at x: one derivative per axis.
 
     Alternating vertex sum of F over the stencil box prod_j [x_j - h_j,
-    x_j + h_j], divided by prod_j (2 h_j).  Second-order accurate; exact for
-    multilinear F up to rounding.  The 2**n corners take one F.evaluate.
+    x_j + h_j], divided by prod_j (2 h_j), which must be a normal float.
+    Second-order accurate; exact for multilinear F up to rounding.  The
+    2**n corners take one call of F.fn (see evaluate_on_grid).
     """
     x = tuple(float(c) for c in x)
     h = tuple(float(c) for c in h)

@@ -71,7 +71,8 @@ _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # A misspelt or shortened flag is a usage error, not a prefix of some other flag.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):

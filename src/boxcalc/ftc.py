@@ -3,11 +3,11 @@
 The central identity: the integral of f over a box equals the alternating
 sum of an antiderivative F over the box's 2**n vertices, signed by parity of
 the number of lower-bound coordinates.  A parallelotope's integral is that
-sum on the unit box for the pulled-back integrand f(origin + T u) |det T|;
-the sign's parity is the graph distance from the marked vertex (the image
-of the all-ones corner).
+sum on the unit box for the pulled-back integrand f(origin + T u) |det T|,
+so its vertices carry the unit box's labels and signs.
 
-Every vertex sum is F on a tensor grid, then one math.fsum per cell
+Every vertex sum is F on a tensor grid (oracle.evaluate_on_grid, the same
+tiled walk as the cubature's), then one math.fsum per cell
 (geometry.cell_vertex_sums), so a degenerate box cancels to exactly 0.0
 pairwise and the vertex visit order cannot change any result.
 """
@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import (
-    ScalarField,
-    evaluate_on_grid,
-    numeric_antiderivative,
-)
+from .antiderivative import ScalarField, numeric_antiderivative
 from .errors import BoxcalcError, DomainError, InternalCheckError
 from .geometry import (
     Hypercuboid,
@@ -35,7 +31,7 @@ from .geometry import (
     grid_breakpoints,
     vertex_signs,
 )
-from .oracle import QuadratureConfig
+from .oracle import QuadratureConfig, evaluate_on_grid
 
 
 @dataclass(frozen=True)

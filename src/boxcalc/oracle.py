@@ -104,9 +104,10 @@ def _axis_rule(a: float, b: float, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-# Points per cubature tile: a tile's few float arrays (512 KiB each) stay in
-# L2, where 2^20-point slabs streamed 8 MB arrays through memory about ten
-# times.  Much smaller tiles pay more per-tile interpreter cost instead.
+# Points per tile of every tensor-grid walk, cubature rules and field values
+# alike: a tile's few float arrays (512 KiB each) stay in L2, where 2^20-point
+# slabs streamed 8 MB arrays through memory about ten times.  Much smaller
+# tiles pay more per-tile interpreter cost instead.
 _EVAL_BLOCK = 1 << 16
 # Below this many terms math.fsum on the array is faster than extracting first.
 _EXTRACT_MIN = 1024
@@ -135,9 +136,9 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
         raise BudgetExceededError(
             f"({cfg.nodes}*{cfg.panels})^{n} evaluations exceed the budget {cfg.max_evals}"
         )
-    rules = [_axis_rule(float(box.lower[j]), float(box.upper[j]), cfg) for j in range(n)]
+    nodes, axis_weights = zip(*(_axis_rule(float(a), float(b), cfg) for a, b in zip(box.lower, box.upper)))
     parts = []
-    for columns, weights in _grid_slabs(rules, _EVAL_BLOCK):
+    for columns, weights in _grid_slabs(nodes, _EVAL_BLOCK, axis_weights):
         values = _grid_values(f, columns, weights.shape)
         # An overflow leaves a sum that is not finite, refused below.  Only
         # this product runs under errstate: ufuncs are slower inside it.
@@ -162,48 +163,82 @@ def _grid_values(f, columns, shape: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def _grid_slabs(rules, block: int):
-    """(columns, weights) of the tensor grid of per-axis (nodes, weights) rules, in C order.
+def _grid_slabs(axes, block: int, weights=None):
+    """(columns, weights) of each slab of the tensor grid of per-axis coordinates, in C order.
 
-    The grid is cut into slabs (the cubature's tiles) of at most `block`
-    points each: a run of whole trailing sub-grids (the last k axes in full,
-    k as large as fits), or a run of single points when not even one row
-    fits.  `weights` has the slab's shape, (rows,) followed by k axes of
-    full rules.  `columns[j]` holds axis j's coordinates, shaped to
-    broadcast against it: the run's nodes along the first axis for a decoded
-    axis, the whole rule along its own axis for a trailing one.  Only the
-    run's indices on the decoded axes are computed; no point array is built.
-    Each weight is the left-to-right product w0[i0]*w1[i1]*..., rounded the
-    same way in every slab layout.
+    The grid is cut into slabs (tiles) of at most `block` points each: a
+    run of whole trailing sub-grids (the last k axes in full, k as large as
+    fits), or a run of single points when not even one row fits.  Axes may
+    differ in length.  A slab's shape is (rows,) followed
+    by the k trailing axes' lengths.  `columns[j]` holds axis j's
+    coordinates, shaped to broadcast to it: the run's coordinates along the
+    first axis for a decoded axis, the whole axis along its own axis for a
+    trailing one.  No point array is built.  Given per-axis `weights`, the
+    slab's weights have its shape, each the left-to-right product
+    w0[i0]*w1[i1]*..., rounded the same way in every slab layout; else None.
     """
-    n = len(rules)
-    per_axis = len(rules[0][0])
+    sizes = [len(axis) for axis in axes]
+    n = len(sizes)
     k = 0
-    while k < n and per_axis ** (k + 1) <= block:
+    # An empty axis is never taken whole, so the run below never divides by zero.
+    while k < n and 0 < math.prod(sizes[n - k - 1 :]) <= block:
         k += 1
     lead = n - k
-    run = block // per_axis**k
-    count = per_axis**lead
+    run = block // math.prod(sizes[lead:])
+    count = math.prod(sizes[:lead])
     for start in range(0, count, run):
         index = [None] * lead
         rem = np.arange(start, min(start + run, count))
         for j in reversed(range(lead)):
-            rem, index[j] = np.divmod(rem, per_axis)
+            rem, index[j] = np.divmod(rem, sizes[j])
         rows = len(rem)
         columns = []
-        weights = np.ones(rows)
+        for j, axis in enumerate(axes):
+            shape = [1] * (k + 1)
+            if j < lead:
+                shape[0], axis = rows, axis[index[j]]
+            else:
+                shape[j - lead + 1] = sizes[j]
+            columns.append(axis.reshape(shape))
+        slab_weights = None if weights is None else np.ones(rows)
         # Weights that overflow leave a sum that is not finite, refused by the caller.
         with np.errstate(over="ignore"):
-            for j, (nodes, w) in enumerate(rules):
-                if j < lead:
-                    columns.append(nodes[index[j]].reshape((rows,) + (1,) * k))
-                    weights = weights * w[index[j]]
-                else:
-                    shape = [1] * (k + 1)
-                    shape[j - lead + 1] = per_axis
-                    columns.append(nodes.reshape(shape))
-                    weights = np.multiply.outer(weights, w)
-        yield tuple(columns), weights
+            for j, w in enumerate(weights or ()):
+                slab_weights = slab_weights * w[index[j]] if j < lead else np.multiply.outer(slab_weights, w)
+        yield tuple(columns), slab_weights
+
+
+def evaluate_on_grid(field, axes) -> np.ndarray:
+    """Values of a field on the tensor grid of per-axis coordinates.
+
+    `axes[j]` lists the coordinates of axis j+1; the result has shape
+    (len(axes[0]), ..., len(axes[-1])), in C order, so its flat order is
+    that of itertools.product(*axes).  Each distinct coordinate of an axis
+    is evaluated once, its first occurrence standing for all equal ones
+    (so -0.0 after 0.0 reads as 0.0).  A grid of more distinct points than
+    QuadratureConfig().max_evals is refused before anything is allocated.
+    The grid of distinct coordinates is walked as the cubature's is
+    (_grid_slabs): `field.fn` gets each tile's per-axis columns, at most
+    _EVAL_BLOCK points, and the values are those of `field.evaluate` on
+    the stacked points, bit for bit.
+    """
+    distinct, where = [], []
+    for axis in axes:
+        first: dict[float, int] = {}
+        where.append([first.setdefault(c, len(first)) for c in np.asarray(axis, dtype=float).tolist()])
+        distinct.append(np.array(list(first), dtype=float))
+    shape = tuple(len(axis) for axis in distinct)
+    budget = QuadratureConfig().max_evals
+    if math.prod(shape) > budget:
+        raise BudgetExceededError(f"{'*'.join(map(str, shape))} grid points exceed the budget {budget}")
+    values = np.empty(math.prod(shape))
+    start = 0
+    for columns, _ in _grid_slabs(distinct, _EVAL_BLOCK):
+        tile = _grid_values(field, columns, np.broadcast_shapes(*(c.shape for c in columns))).ravel()
+        values[start : start + tile.size] = tile
+        start += tile.size
+    values = values.reshape(shape)
+    return values if values.size == math.prod(map(len, where)) else values[np.ix_(*where)]
 
 
 def _exact_parts(values) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,20 @@ class TestMixedPartial:
         F = field_from_expression("x1*x2", 2)
         with pytest.raises(DomainError, match=r"steps h must be positive and finite, got h=\(0\.1, "):
             mixed_partial(F, (0.5, 0.5), (0.1, step))
+
+    @pytest.mark.parametrize(
+        "h", [(1e-200, 1e-200), (1e-160, 1e-160), (0.5, sys.float_info.min / 3), (1e200, 1e200)]
+    )
+    def test_rejects_a_stencil_scale_that_is_not_a_normal_float(self, h):
+        # A scale of 0 divided by zero, and a subnormal one read 0.0 for a mixed partial of 1.
+        F = field_from_expression("x1*x2", 2)
+        with pytest.raises(DomainError, match=r"stencil scale prod\(2\*h\) = \S+ is not a normal float"):
+            mixed_partial(F, (0.5, 0.5), h)
+
+    def test_accepts_the_smallest_normal_stencil_scale(self):
+        # prod(2*h) is exactly the smallest normal float, and every corner value is exact.
+        F = field_from_expression("x1*x2", 2)
+        assert mixed_partial(F, (0.0, 0.0), (0.5, sys.float_info.min / 2)) == 1.0
 
 
 class TestCheckAntiderivative:

@@ -123,6 +123,10 @@ class TestIntegrate:
                 ["integrate", "--f", "x1", "--box", "0:1e400", "--exact", "--verify"],
                 "--box axis 1 upper bound '1e400' is outside the floating-point range",
             ),
+            # No flag is read as a prefix of a longer one.
+            (["integrate", "--f", "x1", "--box", "-1:1", "--h", "1"], "unrecognized arguments: --h 1"),
+            (["integrate", "--f", "x1", "--box", "0:1", "--verif"], "unrecognized arguments: --verif"),
+            (["integrate", "--f", "x1", "--bo", "0:1"], "the following arguments are required: --box"),
         ],
     )
     def test_usage_errors(self, capsys, args, message):
@@ -951,6 +955,15 @@ GOLDENS = [
         "",
         "error: all steps h must be positive and finite, got h=(-0.001,)\n",
         id="negative-step",
+    ),
+    # The default step, 1e-3 of a 1e-320 extent, leaves a stencil scale that underflows to 0.
+    pytest.param(
+        ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2^2/4", "--box", "0:1e-320,0:1"],
+        False, 3,
+        "",
+        "",
+        "error: the stencil scale prod(2*h) = 0 is not a normal float, got h=(1e-323, 0.001)\n",
+        id="underflowing-stencil-scale",
     ),
     # Grids far beyond memory are refused before anything is allocated.
     pytest.param(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -352,6 +353,91 @@ class TestGaussLegendreBox:
         f = field_from_expression("1", 1)
         box = Hypercuboid((Fraction(1, 3),), (Fraction(2, 3),))
         assert abs(gauss_legendre_box(f, box) - 1 / 3) < 1e-15
+
+
+# Per case of TestGaussLegendreBox._PATH_CASES: axes of unequal length inside
+# the case's box, each with a repeated coordinate, and -0.0 after 0.0 on x2.
+_GRID_AXES = [
+    [[-0.5, 0.3, 2.0, 0.3, 1.1, 0.7, 1.6], [0.0, 0.6, -0.0, 0.25, 0.75]],
+    [[0.25, 1.0, 0.25, 0.5, 0.75, 0.125], [0.0, -1.0, -0.0, 0.5, 1.0, -0.5, 0.25], [2.0, 0.5, 1.25, 0.75]],
+]
+
+
+def _flat_divmod_grid(axes, block):
+    """Reference walk of unequal axes: (points, weights) of each flat C-order run, one divmod per axis."""
+    sizes = [len(nodes) for nodes, _ in axes]
+    total = math.prod(sizes)
+    for start in range(0, total, block):
+        rem = np.arange(start, min(start + block, total))
+        index = [None] * len(axes)
+        for j in reversed(range(len(axes))):
+            rem, index[j] = np.divmod(rem, sizes[j])
+        weights = axes[0][1][index[0]]
+        for j in range(1, len(axes)):
+            weights = weights * axes[j][1][index[j]]
+        yield np.stack([nodes[i] for (nodes, _), i in zip(axes, index)], axis=1), weights
+
+
+class TestEvaluateOnGrid:
+    @pytest.mark.parametrize("block", [1, 7, 37, None])
+    @pytest.mark.parametrize(
+        "kind, case",
+        [(kind, case) for case in (0, 1) for kind in _FIELD_KINDS if kind != "mirror-extension" or case == 0],
+    )
+    def test_matches_evaluate_on_the_stacked_grid(self, monkeypatch, kind, case, block):
+        f = TestGaussLegendreBox._path_field(kind, case)
+        axes = _GRID_AXES[case]
+        if block is not None:
+            monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
+        # Each coordinate replaced by its first equal one: -0.0 after 0.0 reads as 0.0.
+        first = [[next(c for c in axis if c == x) for x in axis] for axis in axes]
+        points = np.array(list(itertools.product(*first)))
+        want = f.evaluate(points).reshape([len(axis) for axis in axes])
+        got = oracle.evaluate_on_grid(f, axes)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_coordinate_reads_as_its_first_equal_one(self):
+        # x1 reads 0.0 and x2 reads -0.0 throughout, so every product is -0.0.
+        values = oracle.evaluate_on_grid(field_from_expression("x1*x2", 2), [[0.0, -0.0], [-0.0, 0.0, -0.0]])
+        assert values.shape == (2, 3) and np.all(values == 0.0) and np.all(np.signbit(values))
+
+    @pytest.mark.parametrize("block, sizes", [(None, [[4, 2, 3]]), (7, [[1, 2, 3]] * 4)])
+    def test_an_expression_gets_per_axis_columns(self, monkeypatch, block, sizes):
+        def refuse(node, points):
+            raise AssertionError(f"evaluate_batch called with points of shape {np.shape(points)}")
+
+        F = field_from_expression("x1^2*x2^2*x3^2/8", 3)
+        seen = []
+
+        def fn(columns):
+            seen.append([column.size for column in columns])
+            return F.fn(columns)
+
+        if block is not None:
+            monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
+        monkeypatch.setattr(expression, "evaluate_batch", refuse)
+        axes = [[0.0, 0.5, 1.0, 1.5], [0.1, 0.2], [0.3, 0.4, 0.5]]
+        got = oracle.evaluate_on_grid(ScalarField(3, fn), axes)
+        assert seen == sizes
+        want = [(a * b * c) ** 2 / 8 for a, b, c in itertools.product(*axes)]
+        assert got.ravel().tolist() == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 7, 30, 36, 100, 1 << 20])
+    def test_unequal_axes_are_walked_in_flat_divmod_order(self, block):
+        rng = np.random.default_rng(block)
+        axes = [(rng.random(size), rng.random(size)) for size in (3, 1, 4, 6)]
+        points, weights = [], []
+        nodes, axis_weights = zip(*axes)
+        for columns, slab_weights in oracle._grid_slabs(nodes, block, axis_weights):
+            assert slab_weights.size <= block
+            points.append(np.stack([np.broadcast_to(c, slab_weights.shape).ravel() for c in columns], axis=1))
+            weights.append(slab_weights.ravel())
+        ref = list(_flat_divmod_grid(axes, block))
+        assert np.concatenate(points).tobytes() == np.concatenate([p for p, _ in ref]).tobytes()
+        assert np.concatenate(weights).tobytes() == np.concatenate([w for _, w in ref]).tobytes()
+        unweighted = list(oracle._grid_slabs(nodes, block))
+        assert [w for _, w in unweighted] == [None] * len(points)
 
 
 CUT = oracle._EXTRACT_MIN

@@ -36,7 +36,7 @@ from boxcalc import (
     vertex_sign,
     vertices_lex,
 )
-from boxcalc import antiderivative
+from boxcalc import antiderivative, oracle
 from boxcalc.geometry import VertexLabel, cell_vertex_sums, vertex_signs
 from helpers import random_polynomial
 
@@ -260,12 +260,12 @@ def test_a_small_check_makes_one_call_each():
 
 
 def test_no_checker_call_exceeds_the_block():
-    # (2 * 520)**2 = 1,081,600 stencil corners: two slabs, the first one full.
+    # (2 * 520)**2 = 1,081,600 stencil corners: many tiles of the grid walk.
     f, _ = _recording(lambda p: np.ones(len(p)), 2)
     F, rows = _recording(lambda p: p[:, 0] * p[:, 1], 2)
     report = check_antiderivative(f, F, Hypercuboid((0.0, 0.0), (1.0, 1.0)), grid_points=520)
     assert report.passed
-    assert rows == [1 << 20, 1040**2 - (1 << 20)]
+    assert len(rows) > 1 and max(rows) <= oracle._EVAL_BLOCK and sum(rows) == 1040**2
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -274,7 +274,7 @@ def test_slabs_of_any_size_give_the_same_report(monkeypatch, block):
     box = Hypercuboid((0.1, -0.5, 0.3), (1.2, 0.5, 1.0))
     want = check_antiderivative(f, F, box, grid_points=3)
     F_rec, rows = _recording(F.evaluate, 3)
-    monkeypatch.setattr(antiderivative, "_EVAL_BLOCK", block)
+    monkeypatch.setattr(oracle, "_EVAL_BLOCK", block)
     got = check_antiderivative(f, F_rec, box, grid_points=3)
     assert max(rows) <= block and sum(rows) == 6**3
     assert bits((got.max_abs_deviation, got.max_rel_deviation, got.worst_point)) == bits(
