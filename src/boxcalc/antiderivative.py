@@ -26,6 +26,9 @@ from .errors import DomainError, GaugeDependenceError
 from .geometry import Hypercuboid, cell_vertex_sums
 from .oracle import QuadratureConfig, evaluate_on_grid, gauss_legendre_box
 
+# gauge_add spot-checks a declared-constant axis at this many random point
+# pairs, drawn with this seed.
+_GAUGE_SPOT_CHECKS = 8
 _GAUGE_SPOT_SEED = 177113
 
 
@@ -326,14 +329,13 @@ def gauge_add(
     C,
     constant_axes: Iterable[int],
     domain: Hypercuboid | None = None,
-    spot_checks: int = 8,
 ) -> ScalarField:
     """Pointwise sum F + C where C must not vary along the declared axes.
 
-    The declaration is spot-checked at `spot_checks` random point pairs per
-    declared axis (pairs differ only on that axis), drawn from `domain` (the
-    unit box by default) with a fixed seed, so the check is probabilistic
-    but deterministic.  A detected dependence raises GaugeDependenceError.
+    The declaration is spot-checked at 8 random point pairs per declared
+    axis (pairs differ only on that axis), drawn from `domain` (the unit
+    box by default) with a fixed seed, so the check is probabilistic but
+    deterministic.  A detected dependence raises GaugeDependenceError.
     """
     n = F.arity
     if C.arity != n:
@@ -353,9 +355,9 @@ def gauge_add(
         span = np.array([float(b) for b in domain.upper]) - lo
     rng = np.random.default_rng(_GAUGE_SPOT_SEED)
     for axis in axes:
-        first = lo + span * rng.random((spot_checks, n))
+        first = lo + span * rng.random((_GAUGE_SPOT_CHECKS, n))
         second = first.copy()
-        second[:, axis - 1] = lo[axis - 1] + span[axis - 1] * rng.random(spot_checks)
+        second[:, axis - 1] = lo[axis - 1] + span[axis - 1] * rng.random(_GAUGE_SPOT_CHECKS)
         va = C.evaluate(first)
         vb = C.evaluate(second)
         scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))

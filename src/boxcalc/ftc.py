@@ -31,7 +31,7 @@ from .geometry import (
     grid_breakpoints,
     vertex_signs,
 )
-from .oracle import QuadratureConfig, evaluate_on_grid
+from .oracle import QuadratureConfig, check_vertex_count, evaluate_on_grid
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,14 @@ def integrate_box(F, box: Hypercuboid) -> IntegralResult:
     evaluate_on_grid), whose C order is label order.  Coincident vertices
     (degenerate axes) are evaluated once, so their contributions are
     bitwise identical and the exact sum cancels them to 0.0 pairwise
-    rather than by rounding.
+    rather than by rounding.  A box of more than oracle.MAX_VERTICES
+    vertices is refused before F is evaluated.
     """
     if F.arity != box.dim:
         raise DomainError(
             f"antiderivative arity {F.arity} does not match box dimension {box.dim}"
         )
+    check_vertex_count(box.dim)
     values = evaluate_on_grid(F, [[float(a), float(b)] for a, b in zip(box.lower, box.upper)])
     labels = [VertexLabel.from_index(i, box.dim) for i in range(2**box.dim)]
     contributions = tuple(zip(labels, vertex_signs(box.dim), values.ravel().tolist()))
@@ -143,6 +145,7 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
     the grid of breakpoints, (k1+1)...(kn+1) points for k_j cells on axis
     j; the whole box's vertex sum and each cell's are then exact sums of
     those values, and the right side is the exact sum of the cells' sums.
+    A sum that overflows raises DomainError.
     """
     breakpoints = grid_breakpoints(box, cuts)
     if F.arity != box.dim:
@@ -152,7 +155,10 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
     values = evaluate_on_grid(F, [[float(c) for c in bp] for bp in breakpoints])
     cells = [total + 0.0 for total in cell_vertex_sums(values)]
     lhs = cell_vertex_sums(values[np.ix_(*[[0, -1]] * box.dim)])[0] + 0.0
-    rhs = math.fsum(cells) + 0.0
+    try:
+        rhs = math.fsum(cells) + 0.0
+    except OverflowError:
+        raise DomainError("the sum over the subdivision overflows the floating-point range") from None
     return CompositionalityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), subboxes=len(cells))
 
 

@@ -92,7 +92,8 @@ def cell_vertex_sums(values, stride: int = 1) -> list[float]:
     `values[i1, ..., in]` is F at grid point (i1, ..., in).  A cell spans
     indices i and i+1 along each axis, for i = 0, stride, 2*stride, ...;
     its sum is one math.fsum of vertex_sign * F over its 2**n corners, in
-    label order.  Returns the raw sums, cells in C order.
+    label order.  Returns the raw sums, cells in C order.  A sum that
+    overflows raises DomainError.
     """
     values = np.ascontiguousarray(values, dtype=float)
     n = values.ndim
@@ -101,15 +102,10 @@ def cell_vertex_sums(values, stride: int = 1) -> list[float]:
     strides = tuple(stride * step for step in values.strides) + values.strides
     corners = np.ndarray(cells + (2,) * n, float, values, 0, strides)
     signs = np.array(vertex_signs(n), dtype=float)
-    return [math.fsum(cell) for cell in (corners.reshape(-1, 2**n) * signs).tolist()]
-
-
-def graph_distance(u, v) -> int:
-    """Hamming distance between labels, i.e. edge-graph distance between vertices."""
-    ub, vb = _bits(u), _bits(v)
-    if len(ub) != len(vb):
-        raise DomainError(f"label lengths differ: {len(ub)} vs {len(vb)}")
-    return sum(a != b for a, b in zip(ub, vb))
+    try:
+        return [math.fsum(cell) for cell in (corners.reshape(-1, 2**n) * signs).tolist()]
+    except OverflowError:
+        raise DomainError("a vertex sum overflows the floating-point range") from None
 
 
 @dataclass(frozen=True)
@@ -204,28 +200,32 @@ def subdivide_grid(box: Hypercuboid, cuts: Sequence[Sequence]) -> list[Hypercubo
     return boxes
 
 
-def checked_determinant(matrix, rel_tol: float = 1e-12) -> float:
+_SINGULAR_REL_TOL = 1e-12
+
+
+def checked_determinant(matrix) -> float:
     """Determinant of a square matrix, rejecting numerically singular input.
 
-    |det| must exceed rel_tol times the Frobenius norm raised to the
-    dimension, a scale-invariant cutoff.  When the determinant or that power
-    of the norm leaves the normal floating-point range, the test runs on the
-    matrix rescaled by a power of two, which leaves the verdict unchanged
-    because the cutoff is homogeneous of degree n; a nonsingular matrix
-    whose determinant then overflows or underflows is refused as such.
+    |det| must exceed _SINGULAR_REL_TOL (1e-12) times the Frobenius norm
+    raised to the dimension, a scale-invariant cutoff.  When the
+    determinant or that power of the norm leaves the normal floating-point
+    range, the test runs on the matrix rescaled by a power of two, which
+    leaves the verdict unchanged because the cutoff is homogeneous of
+    degree n; a nonsingular matrix whose determinant then overflows or
+    underflows is refused as such.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"edge matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError("edge matrix entries must be finite")
-    det, cutoff = _det_and_cutoff(m, rel_tol)
+    det, cutoff = _det_and_cutoff(m)
     if cutoff is not None:
         singular = abs(det) <= cutoff
     else:
         # Scale the largest entry into [0.5, 1): exact, so only the exponent moves.
         shift = math.frexp(float(np.max(np.abs(m))))[1]
-        scaled, cutoff = _det_and_cutoff(np.ldexp(m, -shift), rel_tol)
+        scaled, cutoff = _det_and_cutoff(np.ldexp(m, -shift))
         singular = cutoff is None or abs(scaled) <= cutoff
         if not singular:
             exponent = m.shape[0] * shift
@@ -242,9 +242,9 @@ def checked_determinant(matrix, rel_tol: float = 1e-12) -> float:
     return det
 
 
-def _det_and_cutoff(m: np.ndarray, rel_tol: float) -> tuple[float, float | None]:
-    """numpy's det and the cutoff rel_tol * norm**n; None for the cutoff when
-    the det or norm**n is out of the normal range."""
+def _det_and_cutoff(m: np.ndarray) -> tuple[float, float | None]:
+    """numpy's det and the cutoff _SINGULAR_REL_TOL * norm**n; None for the
+    cutoff when the det or norm**n is out of the normal range."""
     # An overflow or underflow is detected below; numpy's warnings would only repeat it.
     with np.errstate(all="ignore"):
         det = float(np.linalg.det(m))
@@ -255,7 +255,7 @@ def _det_and_cutoff(m: np.ndarray, rel_tol: float) -> tuple[float, float | None]
         return det, None
     if not (math.isfinite(det) and sys.float_info.min <= scale < math.inf):
         return det, None
-    return det, rel_tol * scale
+    return det, _SINGULAR_REL_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,6 @@ class Parallelotope:
 
     origin: tuple[float, ...]
     columns: tuple[tuple[float, ...], ...]
-    singular_rel_tol: float = field(default=1e-12, compare=False)
     det: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -282,12 +281,12 @@ class Parallelotope:
             raise DomainError(f"edge matrix must be {n}x{n} to match the origin")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "columns", columns)
-        det = checked_determinant(np.array(columns, dtype=float).T, self.singular_rel_tol)
+        det = checked_determinant(np.array(columns, dtype=float).T)
         object.__setattr__(self, "det", det)
 
     @classmethod
-    def from_edge_vectors(cls, origin, vectors, singular_rel_tol: float = 1e-12):
-        return cls(tuple(origin), tuple(tuple(v) for v in vectors), singular_rel_tol)
+    def from_edge_vectors(cls, origin, vectors):
+        return cls(tuple(origin), tuple(tuple(v) for v in vectors))
 
     @property
     def dim(self) -> int:

@@ -21,25 +21,43 @@ from .errors import BudgetExceededError, DomainError
 from .geometry import Hypercuboid, checked_determinant
 
 
+# Most points any one tensor-grid walk evaluates, cubature rules and F grids alike.
+MAX_EVALS = 10**8
+# Most vertices one vertex sum lists.  Each becomes a labelled contribution,
+# and building and rendering 2^16 of them already takes about a second.
+MAX_VERTICES = 1 << 16
+
+
+def _check_budget(shape: tuple[int, ...]) -> None:
+    """Refuse a tensor grid of this shape, before anything is allocated, when it
+    has more than MAX_EVALS points."""
+    if math.prod(shape) > MAX_EVALS:
+        raise BudgetExceededError(f"{'*'.join(map(str, shape))} grid points exceed the budget {MAX_EVALS}")
+
+
+def check_vertex_count(dim: int) -> None:
+    """Refuse a vertex sum over a dim-dimensional box, before F is evaluated,
+    when it has more than MAX_VERTICES vertices."""
+    if 2**dim > MAX_VERTICES:
+        raise BudgetExceededError(f"2^{dim} vertices exceed the vertex budget {MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite tensor-product rule: `nodes` points per panel, `panels` per axis.
 
     A request costs (nodes * panels)**dim evaluations and is refused when that
-    exceeds `max_evals`.
+    exceeds MAX_EVALS.
     """
 
     nodes: int = 12
     panels: int = 4
-    max_evals: int = 10**8
 
     def __post_init__(self) -> None:
         if not 2 <= self.nodes <= 32:
             raise DomainError(f"nodes per panel must be in [2, 32], got {self.nodes}")
         if self.panels < 1:
             raise DomainError(f"panels must be at least 1, got {self.panels}")
-        if self.max_evals < 1:
-            raise DomainError(f"max_evals must be positive, got {self.max_evals}")
 
 
 @dataclass(frozen=True)
@@ -124,19 +142,24 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
     memory stays bounded for any rule.  The value is the correctly rounded
     sum of all weighted integrand values over the whole grid, so it does
     not depend on the tile size and is reproducible bit for bit.  `f` gets
-    each tile's per-axis coordinate columns (see ScalarField).  A sum that
-    overflows or is not finite raises DomainError.
+    each tile's per-axis coordinate columns (see ScalarField).  A rule of
+    more than MAX_EVALS points raises BudgetExceededError before anything
+    is allocated.  An axis whose panel edges overflow, and a sum that
+    overflows or is not finite, raise DomainError.
     """
     cfg = cfg or QuadratureConfig()
     n = box.dim
     if getattr(f, "arity", n) != n:
         raise DomainError(f"field arity {f.arity} does not match box dimension {n}")
-    per_axis = cfg.nodes * cfg.panels
-    if per_axis**n > cfg.max_evals:
-        raise BudgetExceededError(
-            f"({cfg.nodes}*{cfg.panels})^{n} evaluations exceed the budget {cfg.max_evals}"
-        )
-    nodes, axis_weights = zip(*(_axis_rule(float(a), float(b), cfg) for a, b in zip(box.lower, box.upper)))
+    _check_budget((cfg.nodes * cfg.panels,) * n)
+    bounds = [(float(a), float(b)) for a, b in zip(box.lower, box.upper)]
+    for j, (a, b) in enumerate(bounds, start=1):
+        # Checked on Python floats, so the rule's own arithmetic stays as it is.
+        if not math.isfinite((b - a) * cfg.panels):
+            raise DomainError(
+                f"axis {j}: the cubature's panels on [{a:g}, {b:g}] overflow the floating-point range"
+            )
+    nodes, axis_weights = zip(*(_axis_rule(a, b, cfg) for a, b in bounds))
     parts = []
     for columns, weights in _grid_slabs(nodes, _EVAL_BLOCK, axis_weights):
         values = _grid_values(f, columns, weights.shape)
@@ -216,7 +239,7 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
     that of itertools.product(*axes).  Each distinct coordinate of an axis
     is evaluated once, its first occurrence standing for all equal ones
     (so -0.0 after 0.0 reads as 0.0).  A grid of more distinct points than
-    QuadratureConfig().max_evals is refused before anything is allocated.
+    MAX_EVALS is refused before anything is allocated (_check_budget).
     The grid of distinct coordinates is walked as the cubature's is
     (_grid_slabs): `field.fn` gets each tile's per-axis columns, at most
     _EVAL_BLOCK points, and the values are those of `field.evaluate` on
@@ -228,9 +251,7 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
         where.append([first.setdefault(c, len(first)) for c in np.asarray(axis, dtype=float).tolist()])
         distinct.append(np.array(list(first), dtype=float))
     shape = tuple(len(axis) for axis in distinct)
-    budget = QuadratureConfig().max_evals
-    if math.prod(shape) > budget:
-        raise BudgetExceededError(f"{'*'.join(map(str, shape))} grid points exceed the budget {budget}")
+    _check_budget(shape)
     values = np.empty(math.prod(shape))
     start = 0
     for columns, _ in _grid_slabs(distinct, _EVAL_BLOCK):

@@ -23,6 +23,7 @@ from typing import Mapping
 from . import expression as ex
 from .errors import BoxcalcError, DomainError, InternalCheckError
 from .geometry import Hypercuboid, vertex_signs
+from .oracle import check_vertex_count
 
 
 class NonPolynomialError(BoxcalcError):
@@ -312,11 +313,13 @@ def poly_vertex_values(p: Polynomial, box) -> list[tuple[tuple[int, ...], int, F
     Bit k selects the lower (0) or upper (1) bound of axis k, bit 1 varying
     slowest; the sign is +1 when the vertex uses an even number of lower
     bounds.  Each bound's powers are computed once, for all vertices and
-    terms.
+    terms.  A box of more than oracle.MAX_VERTICES vertices is refused
+    before any is listed.
     """
     lo, hi = _box_corners(box)
     if len(lo) != p.arity:
         raise DomainError(f"box has {len(lo)} axes, arity is {p.arity}")
+    check_vertex_count(len(lo))
     labels = list(itertools.product((0, 1), repeat=len(lo)))
     values = _values_at(p, list(zip(lo, hi)), labels)
     return list(zip(labels, vertex_signs(len(lo)), values))

@@ -985,6 +985,56 @@ GOLDENS = [
         "error: 5001*5001*5001 grid points exceed the budget 100000000\n",
         id="budget-subdivide",
     ),
+    # A box of more than 2^16 vertices is refused before F is evaluated.
+    pytest.param(
+        ["integrate", "--F", "x1", "--box", ",".join(["0:1"] * 17)],
+        False, 3,
+        "",
+        "",
+        "error: 2^17 vertices exceed the vertex budget 65536\n",
+        id="vertex-budget",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--exact", "--box", ",".join(["0:1"] * 17)],
+        False, 3,
+        "",
+        "",
+        "error: 2^17 vertices exceed the vertex budget 65536\n",
+        id="vertex-budget-exact",
+    ),
+    # Float vertex sums and cubature panels that overflow are domain errors, not tracebacks.
+    pytest.param(
+        ["integrate", "--F", "x1", "--box=-1e308:1e308"],
+        False, 3,
+        "",
+        "",
+        "error: a vertex sum overflows the floating-point range\n",
+        id="overflowing-vertex-sum",
+    ),
+    pytest.param(
+        ["subdivide-check", "--F", "x1", "--box=-1e308:1e308", "--grid", "3"],
+        False, 3,
+        "",
+        "",
+        "error: a vertex sum overflows the floating-point range\n",
+        id="overflowing-subdivision",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--box", "0:1e308"],
+        False, 3,
+        "",
+        "",
+        "error: axis 1: the cubature's panels on [0, 1e+308] overflow the floating-point range\n",
+        id="overflowing-panels",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--box=-1e308:1e308"],
+        False, 3,
+        "",
+        "",
+        "error: axis 1: the cubature's panels on [-1e+308, 1e+308] overflow the floating-point range\n",
+        id="overflowing-span",
+    ),
 
 ]
 

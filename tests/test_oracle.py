@@ -91,9 +91,9 @@ class TestLegendreRule:
 class TestQuadratureConfig:
     def test_defaults(self):
         cfg = QuadratureConfig()
-        assert (cfg.nodes, cfg.panels, cfg.max_evals) == (12, 4, 10**8)
+        assert (cfg.nodes, cfg.panels, oracle.MAX_EVALS) == (12, 4, 10**8)
 
-    @pytest.mark.parametrize("bad", [{"nodes": 1}, {"nodes": 33}, {"panels": 0}, {"max_evals": 0}])
+    @pytest.mark.parametrize("bad", [{"nodes": 1}, {"nodes": 33}, {"panels": 0}])
     def test_validation(self, bad):
         with pytest.raises(DomainError):
             QuadratureConfig(**bad)
@@ -142,10 +142,20 @@ class TestGaussLegendreBox:
         assert gauss_legendre_box(f, box) == 0.0
 
     def test_budget_refused(self):
-        f = field_from_expression("x1*x2", 2)
-        box = Hypercuboid((0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(BudgetExceededError, match="exceed the budget"):
-            gauss_legendre_box(f, box, QuadratureConfig(nodes=12, panels=4, max_evals=1000))
+        f = field_from_expression("x1*x2*x3", 3)
+        box = Hypercuboid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(BudgetExceededError, match=r"512\*512\*512 grid points exceed the budget 100000000"):
+            gauss_legendre_box(f, box, QuadratureConfig(nodes=32, panels=16))
+
+    @pytest.mark.parametrize(
+        "lower, upper, axis",
+        [((0.0,), (1e308,), 1), ((-1e308,), (1e308,), 1), ((0.0, 0.0), (1.0, 5e307), 2)],
+        ids=["span-times-panels", "span", "second-axis"],
+    )
+    def test_panels_that_overflow_are_refused_before_the_rule(self, lower, upper, axis):
+        f = ScalarField(len(lower), lambda columns: pytest.fail("f must not be evaluated"))
+        with pytest.raises(DomainError, match=rf"axis {axis}: the cubature's panels on .* overflow"):
+            gauss_legendre_box(f, Hypercuboid(lower, upper))
 
     def test_arity_mismatch(self):
         f = field_from_expression("x1", 1)

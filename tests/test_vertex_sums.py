@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from boxcalc import (
     BudgetExceededError,
+    DomainError,
     Hypercuboid,
     IntegralResult,
     Parallelotope,
@@ -368,3 +369,26 @@ def test_subdivision_beyond_the_budget_is_refused():
     cuts = [[i / 5000 for i in range(1, 5000)]] * 3
     with pytest.raises(BudgetExceededError, match=r"5001\*5001\*5001 grid points"):
         compositionality_check(F, Hypercuboid((0.0,) * 3, (1.0,) * 3), cuts)
+
+
+# --- the vertex budget and an overflowing subdivision total -------------------------
+
+
+def test_box_beyond_the_vertex_budget_is_refused_before_any_evaluation():
+    assert oracle.MAX_VERTICES == 2**16
+    F, rows = _recording(lambda p: p[:, 0], 17)
+    with pytest.raises(BudgetExceededError, match=r"2\^17 vertices exceed the vertex budget 65536"):
+        integrate_box(F, Hypercuboid((0.0,) * 17, (1.0,) * 17))
+    assert rows == []
+
+
+def test_a_subdivision_total_that_overflows_is_a_domain_error():
+    # Each cell's difference and the whole box's are finite, but the cells'
+    # rounded differences add up past the largest float.
+    values = [-8.988465674311579e307, -1.3862550074939736e292, -4.1315450084196677e291, 4.340859424891268e291,
+              8.988465674311579e307]
+    F = field_from_callable(lambda p: np.array([values[int(x)] for x in p[:, 0]]), 1, batch=True)
+    lhs = cell_vertex_sums([values[0], values[-1]])[0]
+    assert math.isfinite(lhs) and all(math.isfinite(c) for c in cell_vertex_sums(values))
+    with pytest.raises(DomainError, match="the sum over the subdivision overflows"):
+        compositionality_check(F, Hypercuboid((0.0,), (4.0,)), [[1.0, 2.0, 3.0]])
