@@ -42,10 +42,13 @@ class ScalarField:
     of points (`evaluate`), or one tile of a tensor grid, each axis's
     coordinates shaped to lie along its own axis: cubature rules and grids
     of F values both reach `fn` that way (oracle.evaluate_on_grid,
-    gauss_legendre_box).  Evaluation is deterministic: the same points
-    produce bitwise the same values, however they are batched or
-    broadcast.  `tag` records provenance (expression, polynomial, builtin,
-    pullback, numeric-antiderivative, gauge-shifted).
+    gauss_legendre_box).  The columns are valid for that one call: within
+    a walk they may be tile buffers that the next tile overwrites (see
+    workspace), so there `fn` keeps none of them and returns a new array
+    rather than a column or a view of one.  Evaluation is deterministic:
+    the same points produce bitwise the same values, however they are
+    batched or broadcast.  `tag` records provenance (expression,
+    polynomial, builtin, pullback, numeric-antiderivative, gauge-shifted).
     """
 
     arity: int

@@ -34,12 +34,14 @@ points are batched or broadcast.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
+from . import workspace
 from .errors import BoxcalcError, DomainError
 
 
@@ -297,7 +299,7 @@ def _point(mask, columns) -> tuple:
     )
 
 
-def _power(base, expo, node: Expr, columns) -> np.ndarray:
+def _power(base, expo, node: Expr, columns, temps=None) -> np.ndarray:
     fractional = (base < 0.0) & (expo != np.floor(expo))
     if fractional.any():
         raise EvalError("negative base with a non-integer exponent", node, _point(fractional, columns))
@@ -307,8 +309,8 @@ def _power(base, expo, node: Expr, columns) -> np.ndarray:
     # takes pow at every batch size.
     shape = base.shape if expo.ndim == 0 else np.broadcast_shapes(base.shape, expo.shape)
     if expo.shape != shape or not shape:
-        expo = np.full(shape or 1, expo)
-    out = np.power(base, expo)
+        expo = np.full(shape or 1, expo) if temps is None else temps.full(shape or (1,), expo)
+    out = np.power(base, expo) if temps is None else temps.apply(node, np.power, base, expo)
     if not np.isfinite(out).all():
         raise EvalError(
             "non-finite power (overflow or zero to a negative exponent)",
@@ -318,11 +320,85 @@ def _power(base, expo, node: Expr, columns) -> np.ndarray:
     return out if shape else out[0]
 
 
-def _eval(node: Expr, columns: tuple[np.ndarray, ...]):
+# Each arithmetic operator as itself, for numpy scalars' fast path, and as
+# the ufunc that can write into a given buffer.
+_ARITHMETIC = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (operator.truediv, np.divide),
+}
+_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+
+class _Temps:
+    """The tile-sized temporaries of one evaluation within a walk (see workspace).
+
+    An op whose result has the tile's shape writes it into a buffer from
+    the walk's workspace: in place into an operand that is such a
+    temporary when there is one, and the other consumed temporaries go
+    back.  The root's result is a new array, since it leaves the
+    evaluator.  Smaller results are allocated as outside a walk.
+    """
+
+    def __init__(self, ws: workspace.Workspace, shape: tuple[int, ...], root: Expr):
+        self.workspace = ws
+        self.shape = shape
+        self.size = math.prod(shape)
+        self.root = root
+        self.held: dict[int, np.ndarray] = {}  # by id: the temporaries not yet consumed
+
+    def _take(self) -> np.ndarray:
+        buffer = self.workspace.take(self.shape)
+        self.held[id(buffer)] = buffer
+        return buffer
+
+    def full(self, shape: tuple[int, ...], value) -> np.ndarray:
+        """np.full(shape, value), in a temporary when shape is the tile's."""
+        if shape != self.shape:
+            return np.full(shape, value)
+        buffer = self._take()
+        buffer[...] = value
+        return buffer
+
+    def apply(self, node: Expr, ufunc, *operands):
+        """ufunc(*operands), the value of `node`."""
+        # A temporary has the tile's size, so operands whose sizes multiply
+        # to less hold none and make a smaller result: most ops of a
+        # separable integrand, which read one axis each.
+        if math.prod(a.size for a in operands) < self.size:
+            return ufunc(*operands)
+        held = [a for a in operands if id(a) in self.held]
+        if node is self.root:
+            out = None
+        elif held:
+            out = held[0]
+        elif broadcast_shape(operands) == self.shape:
+            out = self._take()
+        else:
+            return ufunc(*operands)
+        result = ufunc(*operands, out=out)
+        for a in held:
+            if a is not result:
+                self.workspace.give(self.held.pop(id(a)))
+        return result
+
+
+def _eval(node: Expr, columns: tuple[np.ndarray, ...], temps: _Temps | None = None):
     """Value of `node` at the broadcast shape of the columns it reads.
 
     Literals and constant subtrees stay numpy scalars, so each sub-expression
-    costs only the axes its variables span.
+    costs only the axes its variables span.  Without `temps` every op
+    allocates its result; with them (within a walk) tile-sized results are
+    recycled buffers, and the value is the same, bit for bit.
     """
     if isinstance(node, Num):
         return np.float64(node.value)
@@ -333,53 +409,41 @@ def _eval(node: Expr, columns: tuple[np.ndarray, ...]):
     if isinstance(node, Const):
         return np.float64(CONSTANTS[node.name])
     if isinstance(node, Neg):
-        return -_eval(node.operand, columns)
+        v = _eval(node.operand, columns, temps)
+        return -v if temps is None else temps.apply(node, np.negative, v)
     if isinstance(node, BinOp):
-        left = _eval(node.left, columns)
-        right = _eval(node.right, columns)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
+        left = _eval(node.left, columns, temps)
+        right = _eval(node.right, columns, temps)
+        if node.op == "^":
+            return _power(left, right, node, columns, temps)
         if node.op == "/":
             zero = right == 0.0
             if zero.any():
                 raise EvalError("division by zero", node, _point(zero, columns))
-            return left / right
-        if node.op == "^":
-            return _power(left, right, node, columns)
-        raise DomainError(f"unknown operator {node.op!r}")
+        if node.op not in _ARITHMETIC:
+            raise DomainError(f"unknown operator {node.op!r}")
+        op, ufunc = _ARITHMETIC[node.op]
+        return op(left, right) if temps is None else temps.apply(node, ufunc, left, right)
     if isinstance(node, Call):
-        args = [_eval(a, columns) for a in node.args]
+        args = [_eval(a, columns, temps) for a in node.args]
+        if node.name == "pow":
+            return _power(args[0], args[1], node, columns, temps)
         v = args[0]
-        if node.name == "sin":
-            return np.sin(v)
-        if node.name == "cos":
-            return np.cos(v)
-        if node.name == "tan":
-            return np.tan(v)
-        if node.name == "exp":
-            out = np.exp(v)
-            if not np.isfinite(out).all():
-                raise EvalError("overflow in exp", node, _point(~np.isfinite(out), columns))
-            return out
         if node.name == "log":
             bad = v <= 0.0
             if bad.any():
                 raise EvalError("log of a non-positive value", node, _point(bad, columns))
-            return np.log(v)
         if node.name == "sqrt":
             bad = v < 0.0
             if bad.any():
                 raise EvalError("sqrt of a negative value", node, _point(bad, columns))
-            return np.sqrt(v)
-        if node.name == "abs":
-            return np.abs(v)
-        if node.name == "pow":
-            return _power(args[0], args[1], node, columns)
-        raise DomainError(f"unknown function {node.name!r}")
+        if node.name not in _FUNCTIONS:
+            raise DomainError(f"unknown function {node.name!r}")
+        ufunc = _FUNCTIONS[node.name]
+        out = ufunc(v) if temps is None else temps.apply(node, ufunc, v)
+        if node.name == "exp" and not np.isfinite(out).all():
+            raise EvalError("overflow in exp", node, _point(~np.isfinite(out), columns))
+        return out
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -408,23 +472,29 @@ def _evaluate(node: Expr, columns: tuple[np.ndarray, ...], shape: tuple[int, ...
             if isinstance(sub, Var) and sub.index > len(columns):
                 raise EvalError(f"point has no coordinate x{sub.index}", sub)
         return np.empty(shape)
+    current = workspace.current()
+    temps = None if current is None else _Temps(current, shape, node)
     # Every way of leaving the reals is checked explicitly, so numpy's own
     # warnings would only repeat the EvalError.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _eval(node, columns)
+        out = _eval(node, columns, temps)
     # One ufunc fewer on the common path than testing the complement.
     if not np.isfinite(out).all():
         raise EvalError("non-finite result", node, _point(~np.isfinite(out), columns))
     if out.shape != shape:
         out = np.full(shape, out)
+    elif temps is not None and any(out is c for c in columns):
+        # Within a walk a column is lent for this call only: return a copy.
+        out = out.copy()
     return out
 
 
 def broadcast_shape(columns) -> tuple[int, ...]:
     """The shape that coordinate arrays broadcast to."""
-    shapes = {c.shape for c in columns}
-    # The columns of a batch share one shape; only a grid pays for broadcast_shapes.
-    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    # The columns of a batch share one shape, and a scalar broadcasts to
+    # any; only a grid pays for broadcast_shapes.
+    shapes = {c.shape for c in columns} - {()}
+    return np.broadcast_shapes(*shapes) if len(shapes) > 1 else (shapes.pop() if shapes else ())
 
 
 def evaluate_grid(node: Expr, columns) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workspace
 from .antiderivative import ScalarField, numeric_antiderivative
 from .errors import BoxcalcError, DomainError, InternalCheckError
 from .geometry import (
@@ -166,10 +167,12 @@ def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
     """The integrand u -> f(origin + T u) * weight on the unit box.
 
     Works on coordinate columns, axis by axis: x_i = o_i + (T_i1*u_1 + ...
-    + T_in*u_n), summed left to right by broadcasting the u columns, so no
-    point array is stacked and no matrix product runs.  The explicit order
-    makes the values independent of the BLAS build.  The origin must have
-    f.arity entries and the matrix must be f.arity x f.arity.
+    + T_in*u_n), summed left to right by broadcasting the u columns into
+    one array per axis, so no point array is stacked and no matrix product
+    runs.  The explicit order makes the values independent of the BLAS
+    build.  Within a walk the x columns are tile buffers (see workspace),
+    lent to f.fn for that call.  The origin must have f.arity entries and
+    the matrix must be f.arity x f.arity.
     """
     n = f.arity
     origin = tuple(float(c) for c in origin)
@@ -183,17 +186,30 @@ def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
     weight = float(weight)
 
     def fn(columns) -> np.ndarray:
+        shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
         # Coordinates or values that overflow reach f, or the caller, as inf.
         xs = []
         with np.errstate(over="ignore", invalid="ignore"):
             for o, row in zip(origin, rows):
+                x = workspace.take(shape)
                 total = row[0] * columns[0]
                 for t, u in zip(row[1:], columns[1:]):
-                    total = total + t * u
-                xs.append(o + total)
+                    total = np.add(total, t * u, out=x)
+                xs.append(np.add(o, total, out=x))
         values = f.fn(tuple(xs))
         with np.errstate(over="ignore"):
-            return values * weight
+            if not xs or np.shape(values) != shape:
+                # The caller refuses values of the wrong shape.
+                scaled = values * weight
+            else:
+                # Scaled in a lent buffer and copied once f's values are
+                # freed, so that at most one new tile-sized array is alive
+                # at a time (see workspace).
+                scaled = np.multiply(values, weight, out=xs[0])
+                del values
+                scaled = scaled.copy()
+        workspace.give(*xs)
+        return scaled
 
     return ScalarField(n, fn, tag="pullback")
 
@@ -273,7 +289,12 @@ def mirror_extend(f, p, q, r) -> ScalarField:
     Points on the far side of the line QR are reflected through the midpoint
     of QR back into the triangle: the extension is z -> f(Q + R - z) there.
     Requires f to be midpoint-symmetric along QR for the result to be
-    well-defined on the seam.
+    well-defined on the seam.  A point is on the near side when its side
+    of QR times P's is >= 0, so a point on QR keeps its coordinates and one
+    with a NaN coordinate is reflected.  Each call is one f.fn call on the
+    columns where(far, Q + R - z, z) at the columns' broadcast shape, tile
+    buffers within a walk (see workspace); an EvalError names the first
+    failing point of those columns in C order.
     """
     if f.arity != 2:
         raise DomainError(f"triangle machinery needs arity 2, got {f.arity}")
@@ -282,18 +303,24 @@ def mirror_extend(f, p, q, r) -> ScalarField:
     rv = np.asarray(tuple(float(c) for c in r), dtype=float)
     edge = rv - qv
     side_p = _cross2(edge, pv - qv)
+    through = qv + rv
 
     def fn(columns) -> np.ndarray:
-        side = edge[0] * (columns[1] - qv[1]) - edge[1] * (columns[0] - qv[0])
-        near = side * side_p >= 0.0
-        x1, x2 = (np.broadcast_to(c, near.shape) for c in columns)
-        out = np.empty(near.shape)
-        if near.any():
-            out[near] = f.fn((x1[near], x2[near]))
-        far = ~near
-        if far.any():
-            out[far] = f.fn(((qv[0] + rv[0]) - x1[far], (qv[1] + rv[1]) - x2[far]))
-        return out
+        shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+        ys = workspace.take(shape), workspace.take(shape)
+        # The side of QR, edge[0] * (x2 - Q2) - edge[1] * (x1 - Q1), in the
+        # buffers that take the reflected columns next.
+        np.multiply(edge[0], np.subtract(columns[1], qv[1], out=ys[1]), out=ys[1])
+        np.multiply(edge[1], np.subtract(columns[0], qv[0], out=ys[0]), out=ys[0])
+        side = np.subtract(ys[1], ys[0], out=ys[0])
+        far = np.greater_equal(np.multiply(side, side_p, out=side), 0.0, out=workspace.take(shape, bool))
+        np.logical_not(far, out=far)
+        for y, c, s in zip(ys, columns, through):
+            np.copyto(y, c)
+            np.subtract(s, c, out=y, where=far)
+        values = f.fn(ys)
+        workspace.give(far, *ys)
+        return values
 
     return ScalarField(2, fn, tag="pullback")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workspace
 from .errors import BudgetExceededError, DomainError
 from .geometry import Hypercuboid, checked_determinant
 
@@ -111,21 +112,25 @@ def _legendre_and_derivative(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _axis_rule(a: float, b: float, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     x_ref, w_ref = legendre_rule(cfg.nodes)
-    edges = a + (b - a) * np.arange(cfg.panels + 1) / cfg.panels
+    edges = (a + (b - a) * np.arange(cfg.panels + 1) / cfg.panels).tolist()
     nodes = []
     weights = []
-    for k in range(cfg.panels):
-        mid = 0.5 * (edges[k] + edges[k + 1])
-        half = 0.5 * (edges[k + 1] - edges[k])
+    for lo, hi in zip(edges, edges[1:]):
+        total = lo + hi
+        # Where the sum of two finite edges overflows, halving each first
+        # is exact; every other panel keeps the rounding it always had.
+        mid = 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
+        half = 0.5 * (hi - lo)
         nodes.append(mid + half * x_ref)
         weights.append(half * w_ref)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
 # Points per tile of every tensor-grid walk, cubature rules and field values
-# alike: a tile's few float arrays (512 KiB each) stay in L2, where 2^20-point
-# slabs streamed 8 MB arrays through memory about ten times.  Much smaller
-# tiles pay more per-tile interpreter cost instead.
+# alike: a tile's few float arrays (512 KiB each), recycled by the walk's
+# workspace, stay in L2, where 2^20-point slabs streamed 8 MB arrays through
+# memory about ten times.  Much smaller tiles pay more per-tile interpreter
+# cost instead.
 _EVAL_BLOCK = 1 << 16
 # Below this many terms math.fsum on the array is faster than extracting first.
 _EXTRACT_MIN = 1024
@@ -139,7 +144,9 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
     exactly 0.0 when the box is degenerate.  The tensor grid is walked in
     C order in tiles of at most _EVAL_BLOCK points, sized so that a tile's
     weights, values and extraction temporaries stay in a core's L2 cache;
-    memory stays bounded for any rule.  The value is the correctly rounded
+    memory stays bounded for any rule.  The walk has one tile workspace
+    (see workspace), so the tiles reuse their temporaries instead of
+    faulting in fresh pages for each.  The value is the correctly rounded
     sum of all weighted integrand values over the whole grid, so it does
     not depend on the tile size and is reproducible bit for bit.  `f` gets
     each tile's per-axis coordinate columns (see ScalarField).  A rule of
@@ -161,14 +168,16 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
             )
     nodes, axis_weights = zip(*(_axis_rule(a, b, cfg) for a, b in bounds))
     parts = []
-    for columns, weights in _grid_slabs(nodes, _EVAL_BLOCK, axis_weights):
-        values = _grid_values(f, columns, weights.shape)
-        # An overflow leaves a sum that is not finite, refused below.  Only
-        # this product runs under errstate: ufuncs are slower inside it.
-        # Rebinding frees the unweighted values before the extraction.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = weights * values
-        parts.append(_exact_parts(values.ravel()))
+    with workspace.walk(min(_EVAL_BLOCK, math.prod(map(len, nodes)))):
+        for columns, weights in _grid_slabs(nodes, _EVAL_BLOCK, axis_weights):
+            values = _grid_values(f, columns, weights.shape)
+            # An overflow leaves a sum that is not finite, refused below.  Only
+            # this product runs under errstate: ufuncs are slower inside it.
+            # It goes into the weights, the walker's temporary; rebinding
+            # frees the unweighted values before the extraction.
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.multiply(weights, values, out=weights)
+            parts.append(_exact_parts(values.ravel()))
     try:
         total = math.fsum(np.concatenate(parts))
     except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
@@ -199,6 +208,9 @@ def _grid_slabs(axes, block: int, weights=None):
     trailing one.  No point array is built.  Given per-axis `weights`, the
     slab's weights have its shape, each the left-to-right product
     w0[i0]*w1[i1]*..., rounded the same way in every slab layout; else None.
+    Within a walk (see workspace) the weights are a tile buffer that the
+    caller may overwrite and that goes back when the next slab is asked
+    for, so they are valid until then.
     """
     sizes = [len(axis) for axis in axes]
     n = len(sizes)
@@ -227,8 +239,15 @@ def _grid_slabs(axes, block: int, weights=None):
         # Weights that overflow leave a sum that is not finite, refused by the caller.
         with np.errstate(over="ignore"):
             for j, w in enumerate(weights or ()):
-                slab_weights = slab_weights * w[index[j]] if j < lead else np.multiply.outer(slab_weights, w)
+                # The last factor gives the slab's shape: that product goes to a tile buffer.
+                out = workspace.take((rows, *sizes[lead:])) if j == n - 1 else None
+                if j < lead:
+                    slab_weights = np.multiply(slab_weights, w[index[j]], out=out)
+                else:
+                    slab_weights = np.multiply.outer(slab_weights, w, out=out)
         yield tuple(columns), slab_weights
+        if slab_weights is not None:
+            workspace.give(slab_weights)
 
 
 def evaluate_on_grid(field, axes) -> np.ndarray:
@@ -254,10 +273,11 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
     _check_budget(shape)
     values = np.empty(math.prod(shape))
     start = 0
-    for columns, _ in _grid_slabs(distinct, _EVAL_BLOCK):
-        tile = _grid_values(field, columns, np.broadcast_shapes(*(c.shape for c in columns))).ravel()
-        values[start : start + tile.size] = tile
-        start += tile.size
+    with workspace.walk(min(_EVAL_BLOCK, values.size)):
+        for columns, _ in _grid_slabs(distinct, _EVAL_BLOCK):
+            tile = _grid_values(field, columns, np.broadcast_shapes(*(c.shape for c in columns))).ravel()
+            values[start : start + tile.size] = tile
+            start += tile.size
     values = values.reshape(shape)
     return values if values.size == math.prod(map(len, where)) else values[np.ix_(*where)]
 
@@ -281,6 +301,10 @@ def _exact_parts(values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=float).ravel()
     sums = []
+    # The first pass's parts: a tile buffer within a walk.  Later passes
+    # mostly run on the compacted remainders.
+    first = workspace.take(x.shape) if x.size >= _EXTRACT_MIN else None
+    out = first
     while x.size >= _EXTRACT_MIN:
         top = max(x.max(), -x.min())
         if not math.isfinite(top):
@@ -289,7 +313,8 @@ def _exact_parts(values) -> np.ndarray:
         if not -1022 <= exponent <= 1023:
             break
         sigma = math.ldexp(1.0, exponent)
-        q = x + sigma
+        q = np.add(x, sigma, out=out)
+        out = None
         q -= sigma
         sums.append(q.sum())
         x = np.subtract(x, q, out=q)
@@ -298,7 +323,10 @@ def _exact_parts(values) -> np.ndarray:
         # Dropping zeros costs a copy: worth it once they are the majority.
         if kept < _EXTRACT_MIN or 2 * kept < x.size:
             x = x[nonzero]
-    return np.concatenate([sums, x])
+    parts = np.concatenate([sums, x])
+    if first is not None:
+        workspace.give(first)
+    return parts
 
 
 def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloEstimate:

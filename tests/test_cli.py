@@ -1035,6 +1035,29 @@ GOLDENS = [
         "error: axis 1: the cubature's panels on [-1e+308, 1e+308] overflow the floating-point range\n",
         id="overflowing-span",
     ),
+    # Finite panels whose edges sum past the range: the rule's nodes stay finite.
+    pytest.param(
+        ["integrate", "--f", "1", "--box=1.5e308:1.7e308"],
+        False, 0,
+        "value = 2e+307\n",
+        (
+            '{"command": "integrate", "inputs": {"box": "1.5e308:1.7e308", "dim": 1, "f": "1", '
+            '"F": null, "exact": false, "verify": false, "order": 12, "panels": 4}, '
+            '"result": {"value": 1.9999999999999997e+307}, "diagnostics": {"method": "vertex-sum", '
+            '"contributions": [{"label": "0", "sign": -1, "antiderivative": 0}, '
+            '{"label": "1", "sign": 1, "antiderivative": 1.9999999999999997e+307}]}, "status": "ok"}\n'
+        ),
+        "",
+        id="overflowing-edge-sum",
+    ),
+    pytest.param(
+        ["integrate", "--f", "x1", "--box=1.5e308:1.7e308"],
+        False, 3,
+        "",
+        "",
+        "error: Gauss-Legendre cubature: the weighted sum is not finite\n",
+        id="overflowing-edge-sum-weighted",
+    ),
 
 ]
 

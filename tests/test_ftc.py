@@ -17,6 +17,7 @@ from boxcalc import (
     IntegralResult,
     Parallelotope,
     QuadratureConfig,
+    ScalarField,
     SymmetryError,
     VertexLabel,
     check_segment_symmetry,
@@ -36,6 +37,7 @@ from boxcalc import (
     triangle_impossibility_check,
     vertex_sign,
     with_oracle,
+    workspace,
 )
 from helpers import random_polynomial, random_rational_box, rel_err
 
@@ -387,6 +389,48 @@ class TestSegmentSymmetry:
         assert extended((0.2, 0.3)) == 0.2  # inside the triangle
         assert extended((0.8, 0.9)) == pytest.approx(0.2, abs=1e-15)  # reflected
         assert extended((0.5, 0.5)) == 0.5  # on the seam
+
+    @staticmethod
+    def _near_far_split(f, p, q, r, columns):
+        """The extension as two f calls: on the near points, and on the reflected far points."""
+        pv, qv, rv = (np.asarray(v, dtype=float) for v in (p, q, r))
+        edge = rv - qv
+        side_p = float(edge[0] * (pv - qv)[1] - edge[1] * (pv - qv)[0])
+        side = edge[0] * (columns[1] - qv[1]) - edge[1] * (columns[0] - qv[0])
+        near = side * side_p >= 0.0
+        x1, x2 = (np.broadcast_to(c, near.shape) for c in columns)
+        out = np.empty(near.shape)
+        out[near] = f.fn((x1[near], x2[near]))
+        far = ~near
+        out[far] = f.fn(((qv[0] + rv[0]) - x1[far], (qv[1] + rv[1]) - x2[far]))
+        return out
+
+    @pytest.mark.parametrize("in_walk", [False, True], ids=["outside-a-walk", "in-a-walk"])
+    def test_mirror_extension_matches_the_near_far_split(self, in_walk):
+        def f_fn(c):
+            # fmax reads NaN as -9, so a NaN x1 shows whether x2 was reflected.
+            a = np.fmax(c[0], -9.0)
+            return 3.0 * a * a - 0.5 * c[1] + a * c[1]
+
+        f = ScalarField(2, f_fn)
+        p = (-0.5, 0.0)
+        rows = np.array([0.0, 0.25, 0.5, math.nan, 0.75, 1.0, 1.25, -0.5])
+        cols = np.arange(-256, workspace.MIN_TILE // len(rows) - 256) / 1024
+        # QR runs from (1, 0) to (0, 1): (0.25, 0.75), (0.5, 0.5) and more lie on it exactly.
+        columns = (rows.reshape(-1, 1), cols.reshape(1, -1))
+        want = self._near_far_split(f, p, self.Q, self.R, columns)
+        extended = mirror_extend(f, p, self.Q, self.R)
+        with workspace.walk(workspace.MIN_TILE if in_walk else 0):
+            got = extended.fn(columns)
+        assert got.tobytes() == want.tobytes()
+
+    def test_mirror_extension_error_names_the_first_failing_point_in_c_order(self):
+        extended = mirror_extend(field_from_expression("log(x1)", 2), (0.0, 0.0), self.Q, self.R)
+        # (1.5, 0) is far and reflects to (-0.5, 1); (-0.5, 0) is near and fails as it is.
+        columns = (np.array([[1.5], [-0.5]]), np.array([[0.0]]))
+        with pytest.raises(EvalError, match="log of a non-positive value") as info:
+            extended.fn(columns)
+        assert info.value.point == (-0.5, 1.0)
 
     def test_mirror_extension_arity(self):
         with pytest.raises(DomainError, match="needs arity 2"):
