@@ -21,10 +21,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import expression as ex
-from . import polycalc
+from . import polycalc, workspace
 from .errors import DomainError, GaugeDependenceError
 from .geometry import Hypercuboid, cell_vertex_sums
-from .oracle import QuadratureConfig, evaluate_on_grid, gauss_legendre_box
+from .oracle import QuadratureConfig, check_budget, evaluate_on_grid, gauss_legendre_box
 
 # gauge_add spot-checks a declared-constant axis at this many random point
 # pairs, drawn with this seed.
@@ -98,13 +98,18 @@ def field_from_polynomial(p: polycalc.Polynomial) -> ScalarField:
     terms = [(exps, float(coeff)) for exps, coeff in p.terms.items()]
 
     def fn(columns) -> np.ndarray:
-        out = np.zeros(ex.broadcast_shape(columns))
+        shape = ex.broadcast_shape(columns)
+        out = np.zeros(shape)
+        # Each term is built in one tile buffer and added into `out` in place,
+        # the same products and sums as coeff * x**k * ... term by term.
+        piece = workspace.take(shape)
         for exps, coeff in terms:
-            piece = np.float64(coeff)
+            piece.fill(coeff)
             for column, k in zip(columns, exps):
                 if k:
-                    piece = piece * column**k
-            out = out + piece
+                    np.multiply(piece, column**k, out=piece)
+            np.add(out, piece, out=out)
+        workspace.give(piece)
         return out
 
     return ScalarField(p.arity, fn, tag="polynomial")
@@ -169,26 +174,47 @@ def numeric_antiderivative(
     """The antiderivative of f based at `corner`: F(x) = integral of f over [corner, x].
 
     F is exactly 0.0 whenever some coordinate of x equals the matching corner
-    coordinate, and rejects points below the corner.  Each evaluation runs
-    one tensor-product quadrature over the sub-box, so accuracy and cost
-    follow `quad`.  F is a ScalarField tagged numeric-antiderivative.
+    coordinate, and rejects points below the corner.  Each other evaluation
+    runs one tensor-product quadrature over the sub-box, so accuracy and
+    cost follow `quad`.  One call of F.fn whose quadratures would evaluate
+    more than MAX_EVALS points in all raises BudgetExceededError before
+    the first one runs.  F is a ScalarField tagged numeric-antiderivative.
     """
     base = tuple(float(c) for c in corner)
     if len(base) != f.arity:
         raise DomainError(f"corner has {len(base)} coordinates, field arity is {f.arity}")
     cfg = quad or QuadratureConfig()
+    rule = (cfg.nodes * cfg.panels,) * f.arity
 
-    def value_at(point: tuple[float, ...]) -> float:
-        for j, (a, x) in enumerate(zip(base, point), start=1):
-            if x < a:
-                raise DomainError(
-                    f"axis {j}: point coordinate {x} lies below the base corner {a}"
-                )
-        if any(x == a for a, x in zip(base, point)):
-            return 0.0
-        return gauss_legendre_box(f, Hypercuboid(base, point), cfg)
+    def fn(columns) -> np.ndarray:
+        shape = ex.broadcast_shape(columns)
+        points = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, f.arity)
+        below = np.argwhere(points < base)
+        if len(below):
+            row, j = below[0]
+            raise DomainError(
+                f"axis {j + 1}: point coordinate {points[row, j]} lies below the base corner {base[j]}"
+            )
+        active = ~(points == base).any(axis=1)
+        check_budget((int(np.count_nonzero(active)), *rule))
+        values = np.zeros(len(points))
+        rows = points[active].tolist()
+        values[active] = [gauss_legendre_box(f, Hypercuboid(base, tuple(x)), cfg) for x in rows]
+        return values.reshape(shape)
 
-    return field_from_callable(value_at, f.arity, tag="numeric-antiderivative")
+    return ScalarField(f.arity, fn, tag="numeric-antiderivative")
+
+
+def default_steps(box: Hypercuboid) -> tuple[float, ...]:
+    """The checker's default stencil half-widths: h_j = eps**(1/(n+2)) * (b_j - a_j).
+
+    eps = 2**-52.  A central-difference mixed partial in n dimensions has
+    truncation error O(h**2) and rounding error about eps * |F| / (2h)**n;
+    this h balances the two, where a step fixed for every n lets the
+    rounding error grow past the default tolerance from 5-d on.
+    """
+    scale = sys.float_info.epsilon ** (1.0 / (box.dim + 2))
+    return tuple(scale * (float(b) - float(a)) for a, b in zip(box.lower, box.upper))
 
 
 def _check_steps(h: tuple[float, ...]) -> None:
@@ -261,15 +287,17 @@ def check_antiderivative(
 ) -> CheckReport:
     """Compare mixed_partial(F) against f on an interior grid of the box.
 
-    The grid has `grid_points` per axis, inset from the boundary by h, with
-    h defaulting to 1e-3 of each axis extent.  Relative deviation is
-    |diff| / max(1, |f(x)|); the check passes when the largest relative
-    deviation stays within `tol`.  F is evaluated once on the tensor grid
-    of all stencil corners, at most (2 * grid_points)**n distinct points,
-    and f once on the grid (see evaluate_on_grid).  Every value, sum and
-    deviation equals that of one mixed_partial and one f call per grid
-    point, bit for bit, and ties for the worst point go to the first in
-    product order.
+    The grid has `grid_points` per axis, inset from the boundary by h.  h
+    is a scalar or one step per axis, and defaults to default_steps(box).
+    Relative deviation is |diff| / max(1, |f(x)|); the check passes when
+    the largest relative deviation stays within `tol`.  F is evaluated
+    once on the tensor grid of all stencil corners, at most
+    (2 * grid_points)**n distinct points, and f once on the grid (see
+    evaluate_on_grid, which refuses values that are not finite).  Every
+    value, sum and deviation equals that of one mixed_partial and one f
+    call per grid point, bit for bit, and ties for the worst point go to
+    the first in product order.  A deviation that overflows reads inf and
+    fails the check.
     """
     n = box.dim
     if f.arity != n or F.arity != n:
@@ -279,15 +307,10 @@ def check_antiderivative(
     # Written so that NaN fails too: every comparison with NaN is false.
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tolerance must be non-negative and finite, got tol={tol}")
-    extents = [float(b) - float(a) for a, b in zip(box.lower, box.upper)]
-    if h is None:
-        h = tuple(1e-3 * ext for ext in extents)
-    elif np.isscalar(h):
-        h = (float(h),) * n
-    else:
-        h = tuple(float(c) for c in h)
-    if len(h) != n:
-        raise DomainError(f"h must have {n} entries, got {len(h)}")
+    try:
+        h = default_steps(box) if h is None else tuple(np.broadcast_to(np.asarray(h, dtype=float), n).tolist())
+    except ValueError:
+        raise DomainError(f"h must be one step, or one per axis ({n}), got h={h}") from None
     _check_steps(h)
     axes = []
     for j, (a, b, step) in enumerate(zip(box.lower, box.upper, h), start=1):
@@ -301,26 +324,19 @@ def check_antiderivative(
         if lo > hi:
             raise DomainError(f"axis {j}: stencil of half-width {step} escapes the box")
         axes.append(np.linspace(lo, hi, grid_points))
-    approx = _stencil_sums(F, axes, h)
-    exact = evaluate_on_grid(f, axes).ravel().tolist()
-    max_abs = 0.0
-    max_rel = -1.0
-    worst = None
-    for k, (mixed, value) in enumerate(zip(approx, exact)):
-        abs_dev = abs(mixed - value)
-        rel_dev = abs_dev / max(1.0, abs(value))
-        max_abs = max(max_abs, abs_dev)
-        if rel_dev > max_rel:
-            max_rel = rel_dev
-            worst = k
-    if worst is not None:
-        index = np.unravel_index(worst, (grid_points,) * n)
-        worst = tuple(float(axis[i]) for axis, i in zip(axes, index))
+    approx = np.array(_stencil_sums(F, axes, h))
+    exact = evaluate_on_grid(f, axes).ravel()
+    with np.errstate(over="ignore"):
+        dev = np.abs(approx - exact)
+    rel = dev / np.maximum(1.0, np.abs(exact))
+    worst = int(np.argmax(rel))
+    index = np.unravel_index(worst, (grid_points,) * n)
+    max_rel = float(rel[worst])
     return CheckReport(
         passed=max_rel <= tol,
-        max_abs_deviation=max_abs,
+        max_abs_deviation=float(dev.max()),
         max_rel_deviation=max_rel,
-        worst_point=worst,
+        worst_point=tuple(float(axis[i]) for axis, i in zip(axes, index)),
         tol=tol,
         grid_points=grid_points,
         h=h,

@@ -399,7 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-4, help="relative tolerance (default 1e-4)")
     p.add_argument("--grid-points", type=int, default=5, help="interior grid points per axis (default 5)")
-    p.add_argument("--h", type=float, default=None, help="stencil half-width (default 1e-3 of each extent)")
+    p.add_argument(
+        "--h",
+        type=float,
+        default=None,
+        help="stencil half-width (default eps^(1/(n+2)) of each extent in n dimensions, eps = 2^-52)",
+    )
     _add_json_flag(p)
     p.set_defaults(
         func=cmd_check_antiderivative, inputs=("box", "dim", "f", "F", "tol", "grid_points", "h")

@@ -29,7 +29,7 @@ MAX_EVALS = 10**8
 MAX_VERTICES = 1 << 16
 
 
-def _check_budget(shape: tuple[int, ...]) -> None:
+def check_budget(shape: tuple[int, ...]) -> None:
     """Refuse a tensor grid of this shape, before anything is allocated, when it
     has more than MAX_EVALS points."""
     if math.prod(shape) > MAX_EVALS:
@@ -158,7 +158,7 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
     n = box.dim
     if getattr(f, "arity", n) != n:
         raise DomainError(f"field arity {f.arity} does not match box dimension {n}")
-    _check_budget((cfg.nodes * cfg.panels,) * n)
+    check_budget((cfg.nodes * cfg.panels,) * n)
     bounds = [(float(a), float(b)) for a, b in zip(box.lower, box.upper)]
     for j, (a, b) in enumerate(bounds, start=1):
         # Checked on Python floats, so the rule's own arithmetic stays as it is.
@@ -258,11 +258,13 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
     that of itertools.product(*axes).  Each distinct coordinate of an axis
     is evaluated once, its first occurrence standing for all equal ones
     (so -0.0 after 0.0 reads as 0.0).  A grid of more distinct points than
-    MAX_EVALS is refused before anything is allocated (_check_budget).
+    MAX_EVALS is refused before anything is allocated (check_budget).
     The grid of distinct coordinates is walked as the cubature's is
     (_grid_slabs): `field.fn` gets each tile's per-axis columns, at most
     _EVAL_BLOCK points, and the values are those of `field.evaluate` on
-    the stacked points, bit for bit.
+    the stacked points, bit for bit.  A value that is not finite raises
+    DomainError naming it and the first such point in C order, so no
+    vertex sum or checker deviation is built on a NaN or an infinity.
     """
     distinct, where = [], []
     for axis in axes:
@@ -270,13 +272,17 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
         where.append([first.setdefault(c, len(first)) for c in np.asarray(axis, dtype=float).tolist()])
         distinct.append(np.array(list(first), dtype=float))
     shape = tuple(len(axis) for axis in distinct)
-    _check_budget(shape)
+    check_budget(shape)
     values = np.empty(math.prod(shape))
     start = 0
     with workspace.walk(min(_EVAL_BLOCK, values.size)):
         for columns, _ in _grid_slabs(distinct, _EVAL_BLOCK):
-            tile = _grid_values(field, columns, np.broadcast_shapes(*(c.shape for c in columns))).ravel()
-            values[start : start + tile.size] = tile
+            tile = _grid_values(field, columns, np.broadcast_shapes(*(c.shape for c in columns)))
+            if not np.isfinite(tile).all():
+                index = np.unravel_index(np.flatnonzero(~np.isfinite(tile))[0], tile.shape)
+                point = tuple(float(c[index]) for c in np.broadcast_arrays(*columns))
+                raise DomainError(f"field value {float(tile[index])} is not finite at point {point}")
+            values[start : start + tile.size] = tile.ravel()
             start += tile.size
     values = values.reshape(shape)
     return values if values.size == math.prod(map(len, where)) else values[np.ix_(*where)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from boxcalc import (
+    BudgetExceededError,
     DomainError,
     GaugeDependenceError,
     Hypercuboid,
@@ -26,6 +27,9 @@ from boxcalc import (
     poly_eval,
     poly_from_expr,
 )
+from boxcalc import workspace
+from boxcalc.antiderivative import default_steps
+from boxcalc.oracle import evaluate_on_grid
 from helpers import random_polynomial, rel_err
 
 
@@ -74,6 +78,33 @@ class TestFieldConstructors:
             pt = (rng.randint(-4, 4) / 2, rng.randint(-4, 4) / 2)
             want = float(poly_eval(p, (Fraction(pt[0]), Fraction(pt[1]))))
             assert abs(f(pt) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_polynomial_field_keeps_the_term_by_term_values(self):
+        # The field once built each term as coeff * x**k * ... and summed with
+        # out = out + piece; accumulating in place must give the same bits,
+        # signed zeros included, inside a walk's workspace and outside one.
+        p = poly_from_expr(parse("3*x1^2*x2+x1*x2^3-x2+2-x1^3*x2^2", 2))
+        terms = [(exps, float(coeff)) for exps, coeff in p.terms.items()]
+
+        def reference(columns):
+            out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in columns)))
+            for exps, coeff in terms:
+                piece = np.float64(coeff)
+                for column, k in zip(columns, exps):
+                    if k:
+                        piece = piece * column**k
+                out = out + piece
+            return out
+
+        x1 = np.concatenate([[-0.0, 0.0, -1.5], np.linspace(-2.0, 2.0, 301)])
+        x2 = np.concatenate([[0.0, -0.0, 0.7], np.linspace(-1.0, 3.0, 97)])
+        assert x1.size * x2.size >= workspace.MIN_TILE
+        field = field_from_polynomial(p)
+        want = reference((x1[:, None], x2[None, :]))
+        got = evaluate_on_grid(field, [x1, x2])
+        assert got.tobytes() == want.tobytes()
+        points = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.25, -0.5]])
+        assert field.evaluate(points).tobytes() == reference(tuple(points.T)).tobytes()
 
     def test_callable_rowwise_and_batch(self):
         g = field_from_callable(lambda point: point[0] ** 2, arity=1, tag="sq")
@@ -159,6 +190,27 @@ class TestNumericAntiderivative:
         assert F.arity == 2
         assert F.tag == "numeric-antiderivative"
 
+    def test_rejects_the_first_row_below_the_corner_in_a_batch(self):
+        F = numeric_antiderivative(field_from_expression("x1*x2", 2), (0.0, 0.0))
+        points = np.array([[0.5, 0.5], [0.25, -0.125], [-1.0, -2.0]])
+        with pytest.raises(DomainError, match="axis 2: point coordinate -0.125 lies below the base corner 0.0"):
+            F.evaluate(points)
+
+    def test_a_call_beyond_the_budget_is_refused_before_any_cubature(self):
+        calls = []
+
+        def f_rows(points):
+            calls.append(len(points))
+            return np.prod(points, axis=1)
+
+        f = field_from_callable(f_rows, 4, batch=True)
+        F = numeric_antiderivative(f, (0.0,) * 4)
+        box = Hypercuboid((0.0,) * 4, (1.0,) * 4)
+        # 9**4 stencil corners off the base planes, each a 48**4-point cubature.
+        with pytest.raises(BudgetExceededError, match=r"^6561\*48\*48\*48\*48 grid points exceed the budget"):
+            check_antiderivative(f, F, box)
+        assert calls == []
+
     def test_corner_length_check(self):
         with pytest.raises(DomainError, match="corner has 2 coordinates"):
             numeric_antiderivative(field_from_expression("x1", 1), (0.0, 0.0))
@@ -213,8 +265,33 @@ class TestCheckAntiderivative:
         assert report.passed
         assert report.max_rel_deviation <= 1e-4
         assert report.grid_points == 5
-        assert report.h == (1e-3 * 1.0, 1e-3 * 2.0)
+        assert report.h == default_steps(self.BOX)
         assert str(report).startswith("pass: max abs")
+
+    def test_default_steps_balance_truncation_and_rounding(self):
+        # h_j = eps**(1/(n+2)) * (b_j - a_j); in 2-d that is 2**-13 of each extent.
+        assert default_steps(self.BOX) == (2.0**-13, 2.0**-12)
+        for n in range(1, 7):
+            box = Hypercuboid((0.5,) * n, tuple(1.5 + j for j in range(n)))
+            scale = sys.float_info.epsilon ** (1.0 / (n + 2))
+            assert default_steps(box) == tuple(scale * (1.0 + j) for j in range(n))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_correct_antiderivatives_pass_in_4d_and_5d(self, n):
+        # The rounding error grows like eps / (2h)**n: a step that ignores n fails 5-d.
+        f = field_from_expression("*".join(f"cos(x{j})" for j in range(1, n + 1)), n)
+        F = field_from_expression("*".join(f"sin(x{j})" for j in range(1, n + 1)), n)
+        report = check_antiderivative(f, F, Hypercuboid((0.0,) * n, (1.0,) * n), grid_points=3)
+        assert report.passed
+        assert report.max_rel_deviation < 5e-5
+
+    def test_a_deviation_that_overflows_reads_inf_and_fails(self):
+        # Each mixed partial is about 1.5e308 and f is -1.5e308: their difference overflows.
+        f = field_from_expression("-1.5e308", 1)
+        F = field_from_expression("1.5e308*x1", 1)
+        report = check_antiderivative(f, F, Hypercuboid((0.0,), (1.0,)), grid_points=3)
+        assert not report.passed
+        assert report.max_abs_deviation == math.inf == report.max_rel_deviation
 
     def test_wrong_candidate_fails(self):
         f = field_from_expression("x1*x2", 2)
@@ -239,16 +316,22 @@ class TestCheckAntiderivative:
         assert report.passed
 
     def test_numeric_antiderivative_at_a_lower_corner_that_rounds_outward(self):
-        # With h = 1e-3 * (1.4895 - 0.3959), fl(fl(0.3959 + h) - h) < 0.3959, so an
-        # inset of exactly a + h would put the stencil below F's base corner.
+        # With the default h, fl(fl(0.125 + h) - h) < 0.125, so an inset of
+        # exactly a + h would put the stencil below F's base corner.
+        box = Hypercuboid((0.125, 0.0), (0.964, 1.0))
+        h = default_steps(box)[0]
+        assert (0.125 + h) - h < 0.125
         f = field_from_expression("cos(x1)*exp(x2)", 2)
-        F = numeric_antiderivative(f, (0.3959, 0.0))
-        report = check_antiderivative(f, F, Hypercuboid((0.3959, 0.0), (1.4895, 1.0)), grid_points=5)
+        F = numeric_antiderivative(f, (0.125, 0.0))
+        report = check_antiderivative(f, F, box, grid_points=5)
         assert report.passed
 
-    @pytest.mark.parametrize("a, b", [(0.3959, 1.4895), (0.1764, 1.2034)])
-    def test_stencils_stay_inside_the_box(self, a, b):
-        # (0.3959, 1.4895) rounds a + h - h below a, (0.1764, 1.2034) rounds b - h + h above b.
+    @pytest.mark.parametrize("a, b, h", [(0.125, 0.925, None), (0.1, 0.9021, 0.01 * (0.9021 - 0.1))])
+    def test_stencils_stay_inside_the_box(self, a, b, h):
+        # (0.125, 0.925) rounds a + h - h below a at the default step, and
+        # (0.1, 0.9021) rounds b - h + h above b at the step given.
+        step = default_steps(Hypercuboid((a,), (b,)))[0] if h is None else h
+        assert (a + step) - step < a or (b - step) + step > b
         seen = []
 
         def F(pts):
@@ -256,7 +339,7 @@ class TestCheckAntiderivative:
             return pts[:, 0] ** 2 / 2
 
         report = check_antiderivative(
-            field_from_expression("x1", 1), field_from_callable(F, arity=1, batch=True), Hypercuboid((a,), (b,))
+            field_from_expression("x1", 1), field_from_callable(F, arity=1, batch=True), Hypercuboid((a,), (b,)), h=h
         )
         assert report.passed
         seen = np.concatenate(seen)
@@ -291,6 +374,8 @@ class TestCheckAntiderivative:
             check_antiderivative(f, F, box, grid_points=0)
         with pytest.raises(DomainError, match="arities must match"):
             check_antiderivative(field_from_expression("x1", 1), F, self.BOX)
+        with pytest.raises(DomainError, match=r"h must be one step, or one per axis \(1\), got h=\(0\.1, 0\.1\)"):
+            check_antiderivative(f, F, box, h=(0.1, 0.1))
 
 
 class TestGaugeAdd:

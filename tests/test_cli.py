@@ -9,6 +9,7 @@ import pytest
 
 import boxcalc
 from boxcalc import cli
+from boxcalc.antiderivative import default_steps
 
 
 def run(capsys, args):
@@ -230,7 +231,7 @@ class TestCheckAntiderivative:
         assert payload["status"] == "ok"
         assert payload["diagnostics"]["passed"] is True
         assert payload["result"]["value"] == payload["diagnostics"]["max_rel_deviation"]
-        assert payload["diagnostics"]["h"] == [0.001, 0.001]
+        assert payload["diagnostics"]["h"] == list(default_steps(boxcalc.Hypercuboid((0.0, 0.0), (1.0, 1.0))))
         code, out, _ = run(capsys, self.BAD + ["--json"])
         assert code == 4
         assert json.loads(out)["status"] == "fail"
@@ -637,19 +638,42 @@ GOLDENS = [
     pytest.param(
         ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2^2/4", "--box", "0:1,0:1"],
         True, 0,
+        # The default step is 2^-13 here, so every corner value and vertex sum is exact.
         (
-            "max_abs_deviation = #\nmax_rel_deviation = #\nworst_point = #, #\nresult: pass "
+            "max_abs_deviation = 0\nmax_rel_deviation = 0\nworst_point = #, #\nresult: pass "
             "(tol #)\n"
         ),
         (
             '{"command": "check-antiderivative", "inputs": {"box": "0:1,0:1", "dim": 2, '
             '"f": "x1*x2", "F": "x1^2*x2^2/4", "tol": #, "grid_points": 5, "h": null}, '
-            '"result": {"value": #}, "diagnostics": {"passed": true, "max_abs_deviation": #, '
-            '"max_rel_deviation": #, "worst_point": [#, #], "tol": #, "grid_points": 5, '
+            '"result": {"value": 0}, "diagnostics": {"passed": true, "max_abs_deviation": 0, '
+            '"max_rel_deviation": 0, "worst_point": [#, #], "tol": #, "grid_points": 5, '
             '"h": [#, #]}, "status": "ok"}\n'
         ),
         "",
         id="check-pass",
+    ),
+    pytest.param(
+        [
+            "check-antiderivative", "--f", "cos(x1)*cos(x2)*cos(x3)*cos(x4)*cos(x5)",
+            "--F", "sin(x1)*sin(x2)*sin(x3)*sin(x4)*sin(x5)", "--box", "0:1,0:1,0:1,0:1,0:1",
+            "--grid-points", "3",
+        ],
+        True, 0,
+        (
+            "max_abs_deviation = #\nmax_rel_deviation = #\nworst_point = #, #, #, #, #\n"
+            "result: pass (tol #)\n"
+        ),
+        (
+            '{"command": "check-antiderivative", "inputs": {"box": "0:1,0:1,0:1,0:1,0:1", "dim": 5, '
+            '"f": "cos(x1)*cos(x2)*cos(x3)*cos(x4)*cos(x5)", "F": "sin(x1)*sin(x2)*sin(x3)*sin(x4)*sin(x5)", '
+            '"tol": #, "grid_points": 3, "h": null}, "result": {"value": #}, "diagnostics": '
+            '{"passed": true, "max_abs_deviation": #, "max_rel_deviation": #, '
+            '"worst_point": [#, #, #, #, #], "tol": #, "grid_points": 3, "h": [#, #, #, #, #]}, '
+            '"status": "ok"}\n'
+        ),
+        "",
+        id="check-pass-5d",
     ),
     pytest.param(
         ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2", "--box", "0:1,0:1"],
@@ -956,13 +980,14 @@ GOLDENS = [
         "error: all steps h must be positive and finite, got h=(-0.001,)\n",
         id="negative-step",
     ),
-    # The default step, 1e-3 of a 1e-320 extent, leaves a stencil scale that underflows to 0.
+    # The default step, 2^-13 of a 1e-305 extent, leaves a subnormal stencil scale.
     pytest.param(
-        ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2^2/4", "--box", "0:1e-320,0:1"],
+        ["check-antiderivative", "--f", "x1*x2", "--F", "x1^2*x2^2/4", "--box", "0:1e-305,0:1"],
         False, 3,
         "",
         "",
-        "error: the stencil scale prod(2*h) = 0 is not a normal float, got h=(1e-323, 0.001)\n",
+        "error: the stencil scale prod(2*h) = 5.96e-313 is not a normal float, "
+        "got h=(1.220703125e-309, 0.0001220703125)\n",
         id="underflowing-stencil-scale",
     ),
     # Grids far beyond memory are refused before anything is allocated.

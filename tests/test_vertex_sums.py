@@ -10,6 +10,7 @@ contribution must agree bit for bit.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def ref_mixed_partial(F, x, h):
 
 
 def ref_check_antiderivative(f, F, box, grid_points=5, tol=1e-4):
-    h = tuple(1e-3 * (float(b) - float(a)) for a, b in zip(box.lower, box.upper))
+    h = antiderivative.default_steps(box)
     axes = []
     for a, b, step in zip(box.lower, box.upper, h):
         a, b = float(a), float(b)
@@ -137,19 +138,23 @@ def _fields(kind, dim, box, seed):
     return f, field_from_expression(F_text, dim)
 
 
-def _offset_bounds():
-    """(a, b) with fl(fl(a + h) - h) < a for the checker's default h = 1e-3 (b - a)."""
+def _offset_bounds(dim):
+    """(a, b) with fl(fl(a + h) - h) < a for the checker's default h on a dim-dimensional box.
+
+    With h a small fraction of b - a, that rounding needs a just below a
+    power of two, where a + h lies in the next binade.
+    """
     found = []
-    for i, j in itertools.product(range(0, 4000, 7), range(0, 400, 13)):
-        a = round(0.1 + 0.0001 * i, 4)
+    for top, i, j in itertools.product((0.125, 0.25, 0.5), range(20), range(0, 400, 7)):
+        a = round(top - 0.0001 * i, 4)
         b = round(a + 0.8 + 0.001 * j, 4)
-        h = 1e-3 * (b - a)
+        h = antiderivative.default_steps(Hypercuboid((a,) * dim, (b,) * dim))[0]
         if (a + h) - h < a:
             found.append((a, b))
     return found
 
 
-OFFSET = _offset_bounds()
+OFFSET = {dim: _offset_bounds(dim) for dim in range(1, 6)}
 # Largest grid per dimension that keeps the per-point reference quick.
 MAX_GRID = {1: 5, 2: 5, 3: 5, 4: 3, 5: 2}
 
@@ -159,7 +164,7 @@ def boxes(draw, dim, degenerate=False):
     lower, upper = [], []
     for _ in range(dim):
         if draw(st.booleans()):
-            a, b = draw(st.sampled_from(OFFSET))
+            a, b = draw(st.sampled_from(OFFSET[dim]))
         else:
             a = draw(st.floats(-2.0, 2.0))
             b = a + draw(st.floats(0.25, 2.0))
@@ -171,7 +176,7 @@ def boxes(draw, dim, degenerate=False):
 
 
 def test_offset_bounds_exist():
-    assert len(OFFSET) > 20
+    assert all(len(OFFSET[dim]) > 20 for dim in OFFSET)
 
 
 # --- bit-equality with the per-point loops ---------------------------------------
@@ -193,7 +198,7 @@ def test_check_antiderivative_matches_the_per_point_loop(data, dim, kind, seed):
 def test_check_antiderivative_matches_the_per_point_loop_on_offset_boxes(kind, dim, grid):
     if kind == "numeric-F" and dim == 5:
         grid = 2
-    box = Hypercuboid(tuple(a for a, _ in OFFSET[:dim]), tuple(b for _, b in OFFSET[:dim]))
+    box = Hypercuboid(tuple(a for a, _ in OFFSET[dim][:dim]), tuple(b for _, b in OFFSET[dim][:dim]))
     f, F = _fields(kind, dim, box, 7)
     got = check_antiderivative(f, F, box, grid_points=grid)
     want = ref_check_antiderivative(f, F, box, grid_points=grid)
@@ -392,3 +397,42 @@ def test_a_subdivision_total_that_overflows_is_a_domain_error():
     assert math.isfinite(lhs) and all(math.isfinite(c) for c in cell_vertex_sums(values))
     with pytest.raises(DomainError, match="the sum over the subdivision overflows"):
         compositionality_check(F, Hypercuboid((0.0,), (4.0,)), [[1.0, 2.0, 3.0]])
+
+
+# --- field values that are not finite ------------------------------------------------
+
+
+def _broken(value):
+    """x1^2 x2^2 / 4, but `value` for 0.5 < x1 < 0.6."""
+
+    def F(points):
+        x1, x2 = points[:, 0], points[:, 1]
+        return np.where((0.5 < x1) & (x1 < 0.6), value, x1**2 * x2**2 / 4)
+
+    return field_from_callable(F, 2, batch=True)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_vertex_value_that_is_not_finite_names_its_point(value):
+    # Summed, NaN would be the value, and +inf with -inf would leak fsum's ValueError.
+    F = _broken(value)
+    message = rf"^field value {value} is not finite at point \(0\.55, 0\.0\)$"
+    with pytest.raises(DomainError, match=message):
+        integrate_box(F, Hypercuboid((0.0, 0.0), (0.55, 1.0)))
+    with pytest.raises(DomainError, match=message):
+        compositionality_check(F, Hypercuboid((0.0, 0.0), (1.0, 1.0)), [[0.55], []])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_stencil_value_that_is_not_finite_fails_the_check(value):
+    # A NaN deviation compares false with every maximum: it must not let the check pass.
+    box = Hypercuboid((0.0, 0.0), (1.0, 1.0))
+    first = re.escape(str(0.5 + antiderivative.default_steps(box)[0]))
+    with pytest.raises(DomainError, match=rf"^field value {value} is not finite at point \({first}, 0\.0\)$"):
+        check_antiderivative(field_from_expression("x1*x2", 2), _broken(value), box)
+    # f is evaluated on the grid of centres, here 0.05, 0.55, 1.05 on axis 1.
+    with pytest.raises(DomainError, match=rf"^field value {value} is not finite at point \(0\.55\d*, 0\.05\)$"):
+        check_antiderivative(
+            _broken(value), field_from_expression("x1^2*x2^2/4", 2), Hypercuboid((0.0, 0.0), (1.1, 1.0)),
+            grid_points=3, h=0.05,
+        )
