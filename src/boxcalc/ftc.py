@@ -32,7 +32,7 @@ from .geometry import (
     grid_breakpoints,
     vertex_signs,
 )
-from .oracle import QuadratureConfig, check_vertex_count, evaluate_on_grid
+from .oracle import QuadratureConfig, affine_columns, check_vertex_count, evaluate_on_grid
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,12 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
 def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
     """The integrand u -> f(origin + T u) * weight on the unit box.
 
-    Works on coordinate columns, axis by axis: x_i = o_i + (T_i1*u_1 + ...
-    + T_in*u_n), summed left to right by broadcasting the u columns into
-    one array per axis, so no point array is stacked and no matrix product
-    runs.  The explicit order makes the values independent of the BLAS
-    build.  Within a walk the x columns are tile buffers (see workspace),
-    lent to f.fn for that call.  The origin must have f.arity entries and
-    the matrix must be f.arity x f.arity.
+    Works on coordinate columns, axis by axis: the x columns come from
+    oracle.affine_columns, the map that Monte Carlo uses too, summed left
+    to right so that the values do not depend on the BLAS build.  Within a
+    walk they are tile buffers (see workspace), lent to f.fn for that call.
+    The origin must have f.arity entries and the matrix must be f.arity x
+    f.arity.
     """
     n = f.arity
     origin = tuple(float(c) for c in origin)
@@ -188,14 +187,7 @@ def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
     def fn(columns) -> np.ndarray:
         shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
         # Coordinates or values that overflow reach f, or the caller, as inf.
-        xs = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for o, row in zip(origin, rows):
-                x = workspace.take(shape)
-                total = row[0] * columns[0]
-                for t, u in zip(row[1:], columns[1:]):
-                    total = np.add(total, t * u, out=x)
-                xs.append(np.add(o, total, out=x))
+        xs = affine_columns(origin, rows, columns, shape)
         values = f.fn(tuple(xs))
         with np.errstate(over="ignore"):
             if not xs or np.shape(values) != shape:

@@ -2,11 +2,15 @@
 
 Both are deterministic.  The cubature uses cached Legendre rules computed by
 Newton iteration; the Monte Carlo stream comes from a counter-based generator
-so a seed maps to the same sample sequence on every platform and run.  Every
-reduction returns the correctly rounded exact sum of its terms, regardless of
-term order and of how the terms are split into blocks: long arrays are first
-condensed by error-free extraction into a few floats with the same exact sum,
-and one math.fsum rounds the lot.
+so a seed maps to the same sample sequence on every platform and run, and
+its affine map is summed in a fixed order, so its values do not depend on
+the BLAS build either.  Both walk their points in tiles of at most
+_EVAL_BLOCK, within one tile workspace (see workspace), and both obey the
+one evaluation budget, MAX_EVALS points.  Every reduction returns the
+correctly rounded exact sum of its terms, regardless of term order and of
+how the terms are split into tiles: each tile is first condensed by
+error-free extraction into a few floats with the same exact sum, and one
+math.fsum rounds the lot.
 """
 
 from __future__ import annotations
@@ -178,10 +182,7 @@ def gauss_legendre_box(f, box: Hypercuboid, cfg: QuadratureConfig | None = None)
             with np.errstate(over="ignore", invalid="ignore"):
                 values = np.multiply(weights, values, out=weights)
             parts.append(_exact_parts(values.ravel()))
-    try:
-        total = math.fsum(np.concatenate(parts))
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        total = math.nan
+    total = _fsum_parts(parts)
     if not math.isfinite(total):
         raise DomainError("Gauss-Legendre cubature: the weighted sum is not finite")
     return total + 0.0
@@ -278,14 +279,28 @@ def evaluate_on_grid(field, axes) -> np.ndarray:
     with workspace.walk(min(_EVAL_BLOCK, values.size)):
         for columns, _ in _grid_slabs(distinct, _EVAL_BLOCK):
             tile = _grid_values(field, columns, np.broadcast_shapes(*(c.shape for c in columns)))
-            if not np.isfinite(tile).all():
-                index = np.unravel_index(np.flatnonzero(~np.isfinite(tile))[0], tile.shape)
-                point = tuple(float(c[index]) for c in np.broadcast_arrays(*columns))
-                raise DomainError(f"field value {float(tile[index])} is not finite at point {point}")
+            _refuse_non_finite(tile, columns)
             values[start : start + tile.size] = tile.ravel()
             start += tile.size
     values = values.reshape(shape)
     return values if values.size == math.prod(map(len, where)) else values[np.ix_(*where)]
+
+
+def _refuse_non_finite(values: np.ndarray, columns) -> None:
+    """Raise DomainError naming the first value that is not finite, in C
+    order, and its point, read from the columns the values were taken at."""
+    if not np.isfinite(values).all():
+        index = np.unravel_index(np.flatnonzero(~np.isfinite(values))[0], values.shape)
+        point = tuple(float(c[index]) for c in np.broadcast_arrays(*columns))
+        raise DomainError(f"field value {float(values[index])} is not finite at point {point}")
+
+
+def _fsum_parts(parts) -> float:
+    """math.fsum of a list of _exact_parts results; nan where it overflows or meets inf - inf."""
+    try:
+        return math.fsum(np.concatenate(parts))
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _exact_parts(values) -> np.ndarray:
@@ -335,6 +350,33 @@ def _exact_parts(values) -> np.ndarray:
     return parts
 
 
+def affine_columns(origin, rows, columns, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The columns x_i = o_i + (T_i1*u_1 + ... + T_in*u_n) of the affine map
+    u -> origin + T u, from the columns of u, at their broadcast `shape`.
+
+    Summed left to right, axis by axis, so no point array is stacked and
+    no matrix product runs: the values do not depend on the BLAS build.
+    `rows` are T's rows as Python floats.  Each x column is a tile buffer
+    (see workspace) that the caller gives back.  A product of a column of
+    the full shape goes to a tile buffer too, so the map allocates no tile;
+    that of a grid axis keeps the axis's length.  Coordinates that overflow
+    are inf, without a warning.
+    """
+    whole = [np.shape(c) == shape for c in columns]
+    scratch = workspace.take(shape) if any(whole[1:]) else None
+    xs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for o, row in zip(origin, rows):
+            x = workspace.take(shape)
+            total = np.multiply(row[0], columns[0], out=x if whole[0] else None)
+            for t, u, full in zip(row[1:], columns[1:], whole[1:]):
+                total = np.add(total, np.multiply(t, u, out=scratch if full else None), out=x)
+            xs.append(np.add(o, total, out=x))
+    if scratch is not None:
+        workspace.give(scratch)
+    return xs
+
+
 def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloEstimate:
     """Uniform Monte Carlo estimate of the integral over an affine image of the unit box.
 
@@ -343,28 +385,65 @@ def monte_carlo_affine(f, origin, edges, samples: int, seed: int) -> MonteCarloE
     mean with its standard error (sample standard deviation / sqrt(samples)).
     A constant integrand yields the constant times |det T| exactly with a
     standard error of exactly 0.0.
+
+    The samples are walked in tiles of _EVAL_BLOCK, within one workspace
+    walk: each tile's u rows come from the same stream in the same order
+    as one draw would give them, are mapped axis by axis (affine_columns,
+    as pullback_field maps them, so the values do not depend on the BLAS
+    build), and reach `f.fn` as columns.  Only the scaled values are kept,
+    8 bytes per sample; both sums (the mean, then the squared deviations
+    from it) are condensed tile by tile into exact parts, so they are the
+    correctly rounded sums over all samples, whatever the tile size.  More
+    than MAX_EVALS samples raise BudgetExceededError before anything is
+    drawn.  A field value that is not finite raises DomainError naming it
+    and its sample point, and so does a mean or variance that overflows.
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     matrix = np.asarray(edges, dtype=float)
-    origin = np.asarray(tuple(float(c) for c in origin), dtype=float)
-    n = origin.shape[0]
+    origin = tuple(float(c) for c in origin)
+    n = len(origin)
     if matrix.shape != (n, n):
         raise DomainError(f"edge matrix must be {n}x{n}, got shape {matrix.shape}")
-    det = checked_determinant(matrix)
+    weight = abs(checked_determinant(matrix))
     if getattr(f, "arity", n) != n:
         raise DomainError(f"field arity {f.arity} does not match dimension {n}")
+    check_budget((samples,))
+    rows = matrix.tolist()
     rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((samples, n))
-    # Coordinates that overflow reach f as inf, and f's evaluation refuses them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = origin + u @ matrix.T
-    values = f.evaluate(points) * abs(det)
-    v0 = float(values[0])
-    mean = v0 + math.fsum(_exact_parts(values - v0)) / samples
-    deviations = values - mean
-    variance = math.fsum(_exact_parts(deviations * deviations)) / (samples - 1)
+    values = np.empty(samples)
+    tiles = [values[i : i + _EVAL_BLOCK] for i in range(0, samples, _EVAL_BLOCK)]
+    mean_parts, square_parts = [], []
+    with workspace.walk(len(tiles[0])):
+        for tile in tiles:
+            u = rng.random(out=workspace.take((len(tile), n)))
+            xs = affine_columns(origin, rows, tuple(u.T), tile.shape)
+            workspace.give(u)
+            fx = _grid_values(f, tuple(xs), tile.shape if n else ())
+            _refuse_non_finite(fx, xs)
+            workspace.give(*xs)
+            # Values that overflow leave a mean that is not finite, refused below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(fx, weight, out=tile)
+                # f's values go before the extraction: one tile array fewer alive.
+                del fx
+                deviations = np.subtract(tile, values[0], out=workspace.take(tile.shape))
+            mean_parts.append(_exact_parts(deviations))
+            workspace.give(deviations)
+        mean = float(values[0]) + _fsum_parts(mean_parts) / samples
+        if not math.isfinite(mean):
+            raise DomainError("Monte Carlo: the sample mean is not finite")
+        for tile in tiles:
+            # Squares that overflow leave a variance that is not finite, refused below.
+            with np.errstate(over="ignore"):
+                squares = np.subtract(tile, mean, out=workspace.take(tile.shape))
+                np.multiply(squares, squares, out=squares)
+            square_parts.append(_exact_parts(squares))
+            workspace.give(squares)
+    variance = _fsum_parts(square_parts) / (samples - 1)
+    if not math.isfinite(variance):
+        raise DomainError("Monte Carlo: the sample variance is not finite")
     stderr = math.sqrt(variance / samples)
     return MonteCarloEstimate(estimate=mean, stderr=stderr, samples=samples, seed=seed)

@@ -1,17 +1,20 @@
 """Tile workspace: float buffers recycled within one tensor-grid walk.
 
 A tensor-grid walk (oracle.gauss_legendre_box, oracle.evaluate_on_grid)
-evaluates its grid tile by tile, and each layer a tile passes through needs
-tile-sized temporaries: the cubature's weights and extraction pass, a
+evaluates its grid tile by tile, and so does Monte Carlo
+(oracle.monte_carlo_affine) with its samples.  Each layer a tile passes
+through needs tile-sized temporaries: the cubature's weights and
+extraction pass, Monte Carlo's draws, coordinates and deviations, a
 pullback's coordinates, a mirror extension's side mask and reflected
 coordinates, an expression's intermediate values.  Allocated afresh for
 every tile, a few of them alive at once are enough for glibc to hand the
 freed top of the heap back to the kernel at the end of each tile and fault
 it in again during the next one.  Within a walk they come from a Workspace
-instead: a free list of buffers per shape and dtype, made when the walk
-starts and dropped when it ends.  A layer takes a buffer (`take`) and gives
-it back (`give`) once done with it, so the tiles of one walk reuse the same
-memory.
+instead: free lists of flat buffers per dtype, made when the walk starts
+and dropped when it ends.  A layer takes a buffer (`take`), the front of
+the smallest free one that holds it, and gives it back (`give`) once done
+with it, so the tiles of one walk reuse the same memory, and a walk's
+ragged last tile reuses the buffers of its full ones.
 
 Only temporaries that never leave the layer that took them are recycled.
 Coordinate columns a layer lends to a ScalarField's fn count as such: they
@@ -27,6 +30,7 @@ none: `take` allocates and `give` does nothing.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections import defaultdict
 from contextvars import ContextVar
 
@@ -40,20 +44,28 @@ MIN_TILE = 1 << 14
 
 
 class Workspace:
-    """Free lists of buffers, keyed by shape and dtype, for the tiles of one walk."""
+    """Free lists of flat buffers, keyed by dtype, for the tiles of one walk."""
 
     def __init__(self) -> None:
-        self._free: defaultdict[tuple, list[np.ndarray]] = defaultdict(list)
+        self._free: defaultdict[np.dtype, list[np.ndarray]] = defaultdict(list)
 
     def take(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        """An uninitialised buffer: one given back earlier, else a new one."""
-        free = self._free[shape, np.dtype(dtype)]
-        return free.pop() if free else np.empty(shape, dtype)
+        """An uninitialised buffer of this shape: the front of the smallest free
+        buffer that holds it (the last given back among equals), else a new one."""
+        size = math.prod(shape)
+        free = self._free[np.dtype(dtype)]
+        best = None
+        for i in reversed(range(len(free))):
+            if size <= free[i].size and (best is None or free[i].size < free[best].size):
+                best = i
+        flat = np.empty(size, dtype) if best is None else free.pop(best)
+        return flat[:size].reshape(shape)
 
     def give(self, *buffers: np.ndarray) -> None:
         """Return buffers from `take`; the caller no longer reads or writes them."""
         for buffer in buffers:
-            self._free[buffer.shape, buffer.dtype].append(buffer)
+            # A buffer from `take` is a view of the flat buffer it came from.
+            self._free[buffer.dtype].append(buffer.base)
 
 
 _CURRENT: ContextVar[Workspace | None] = ContextVar("boxcalc_workspace", default=None)

@@ -1010,6 +1010,17 @@ GOLDENS = [
         "error: 5001*5001*5001 grid points exceed the budget 100000000\n",
         id="budget-subdivide",
     ),
+    pytest.param(
+        [
+            "parallelotope", "--f", "x1", "--origin", "0,0", "--edges", "1,0;0,1",
+            "--verify", "--samples", "300000000",
+        ],
+        False, 3,
+        "",
+        "",
+        "error: 300000000 grid points exceed the budget 100000000\n",
+        id="budget-monte-carlo",
+    ),
     # A box of more than 2^16 vertices is refused before F is evaluated.
     pytest.param(
         ["integrate", "--F", "x1", "--box", ",".join(["0:1"] * 17)],

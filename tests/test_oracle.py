@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
@@ -19,6 +20,7 @@ from boxcalc import (
     MonteCarloEstimate,
     QuadratureConfig,
     ScalarField,
+    checked_determinant,
     field_from_callable,
     field_from_expression,
     field_from_polynomial,
@@ -572,3 +574,72 @@ class TestMonteCarlo:
         f = field_from_expression("1", 2)
         with pytest.raises(DomainError, match="edge matrix"):
             monte_carlo_affine(f, (0.0, 0.0), [[1.0, 0.0]], 100, 0)
+
+    # One expression per dimension, reading every axis.
+    _TILED = ("2.5", "exp(x1)", "exp(x1)*cos(x2)", "exp(x1)*cos(x2)+x3^2", "exp(x1)*cos(x2)+x3^2*x4-x2")
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_tiles_give_the_bits_of_one_full_array_pass(self, n):
+        # The reference: one draw of every sample, the per-axis map summed
+        # left to right, one evaluation and one fsum per sum.
+        samples, seed = 3 * oracle._EVAL_BLOCK + 17, 11
+        f = field_from_expression(self._TILED[n], n)
+        origin = tuple(0.25 - 0.5 * j for j in range(n))
+        matrix = 0.5 * np.eye(n) + 0.125 * (1 - np.eye(n)) - 0.0625 * np.tri(n, k=-1)
+        u = np.random.Generator(np.random.Philox(seed)).random((samples, n))
+        xs = []
+        for o, row in zip(origin, matrix.tolist()):
+            total = row[0] * u[:, 0]
+            for j in range(1, n):
+                total = total + row[j] * u[:, j]
+            xs.append(o + total)
+        points = np.reshape(xs, (n, samples)).T
+        values = f.evaluate(points) * abs(checked_determinant(matrix))
+        mean = values[0] + math.fsum(values - values[0]) / samples
+        deviations = values - mean
+        stderr = math.sqrt(math.fsum(deviations * deviations) / (samples - 1) / samples)
+        got = monte_carlo_affine(f, origin, matrix, samples, seed)
+        assert (got.estimate.hex(), got.stderr.hex()) == (mean.hex(), stderr.hex())
+
+    def test_memory_is_one_tile_and_the_values(self):
+        f = field_from_expression("exp(0.3*x1)*cos(x2-x3)+x1*x3", 3)
+        matrix = 0.5 * np.eye(3) + 0.1 * (1 - np.eye(3))
+
+        def peak(samples):
+            monte_carlo_affine(f, (0.25,) * 3, matrix, 2, 5)  # warm the parser
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                monte_carlo_affine(f, (0.25,) * 3, matrix, samples, 5)
+                return tracemalloc.get_traced_memory()[1] - before - 8 * samples
+            finally:
+                tracemalloc.stop()
+
+        one_tile, eight_tiles = peak(1 << 16), peak(1 << 19)
+        # What grows with the tiles is the exact parts each leaves, a few
+        # hundred floats, far below one 512 KiB tile array.
+        assert eight_tiles - one_tile < (1 << 16), (one_tile, eight_tiles)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_value_that_is_not_finite_names_its_sample_point(self, bad):
+        f = field_from_callable(lambda p: np.where(p[:, 0] > 0.5, bad, 1.0), 2, batch=True)
+        with pytest.raises(DomainError, match=rf"field value {bad} is not finite at point \(0\.5\d*, "):
+            monte_carlo_affine(f, (0.0, 0.0), np.eye(2), 1000, 1)
+        # Also in a later tile: this field is bad at one sample of the third.
+        first = 2 * oracle._EVAL_BLOCK + 5
+        g = field_from_callable(lambda p: np.where(p[:, 0] == x_first, bad, 1.0), 1, batch=True)
+        x_first = float(np.random.Generator(np.random.Philox(3)).random(first + 1)[first])
+        with pytest.raises(DomainError, match=rf"field value {bad} is not finite at point \({x_first!r},\)"):
+            monte_carlo_affine(g, (0.0,), [[1.0]], 3 * oracle._EVAL_BLOCK, 3)
+
+    def test_a_mean_or_variance_that_overflows_is_refused(self):
+        huge = field_from_callable(lambda p: np.where(p[:, 0] > 0.5, 1e300, -1e300), 1, batch=True)
+        with pytest.raises(DomainError, match="the sample mean is not finite"):
+            monte_carlo_affine(huge, (0.0,), [[1e10]], 1000, 1)
+        with pytest.raises(DomainError, match="the sample variance is not finite"):
+            monte_carlo_affine(huge, (0.0,), [[1.0]], 1000, 1)
+
+    def test_samples_beyond_the_budget_are_refused_before_drawing(self):
+        f = field_from_callable(lambda p: pytest.fail("evaluated"), 1, batch=True)
+        with pytest.raises(BudgetExceededError, match=f"{oracle.MAX_EVALS + 1} grid points exceed the budget"):
+            monte_carlo_affine(f, (0.0,), [[1.0]], oracle.MAX_EVALS + 1, 0)
