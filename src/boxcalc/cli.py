@@ -195,12 +195,22 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(nodes=args.order, panels=args.panels)
 
 
+def _exact_text(value: Fraction) -> str:
+    """An exact value as text; one with more digits than Python prints is a DomainError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DomainError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
+
+
 def _contributions_json(contribs, exact: bool = False) -> list[dict]:
     return [
         {
             "label": str(label),
             "sign": sign,
-            "antiderivative": str(value) if exact else float(value),
+            "antiderivative": _exact_text(value) if exact else float(value),
         }
         for label, sign, value in contribs
     ]
@@ -244,7 +254,7 @@ def cmd_integrate(args):
     if args.verify:
         oracle_field = ad.field_from_polynomial(poly) if args.exact else field
         res = ftc.with_oracle(res, gauss_legendre_box(oracle_field, box, quad))
-    result = _result(res, str(res.value) if args.exact else res.value)
+    result = _result(res, _exact_text(res.value) if args.exact else res.value)
     diagnostics = {
         "method": res.method,
         "contributions": _contributions_json(res.contributions, exact=args.exact),

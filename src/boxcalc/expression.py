@@ -12,7 +12,9 @@ Identifiers are the variables x1..xn, the functions sin cos tan exp log sqrt
 abs pow, and the constants pi and e.  NUMBER is an unsigned decimal literal
 with optional fraction and exponent.  Whitespace is insignificant.  Note the
 grammar hangs '^' off a full unary, so a leading minus binds to the base:
--2^2 parses as (-2)^2.
+-2^2 parses as (-2)^2.  Nesting is bounded by MAX_DEPTH: the parser refuses
+text deeper than that with a ParseError, so no layer that walks a tree by
+recursion gets near the interpreter's recursion limit.
 
 Evaluation follows real semantics: any operation that would leave the reals
 (log or sqrt of a negative, division by zero, fractional power of a negative,
@@ -78,6 +80,16 @@ FUNCTION_ARITY = {
 }
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# The deepest text parse accepts, in levels: a tree is at most this many
+# nodes deep from root to leaf (so a flat sum has at most this many terms),
+# and text at most this many levels deep counting each enclosing '(' group,
+# function call, unary minus and exponent and the innermost operand.  The
+# parser recurses at most six frames per level, and the evaluator, the
+# printer and polycalc one frame per tree level, well inside the
+# interpreter's default limit of 1000.  The expressions of the tests and
+# the benchmark are at most 12 levels deep.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -179,6 +191,15 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.n_vars = n_vars
+        self.open = 0  # sub-expressions being parsed, each inside the last
+
+    def _descend(self, token: _Token) -> None:
+        """Open one more sub-expression at `token`; the caller closes it."""
+        self.open += 1
+        # What the open sub-expressions enclose is one level deeper still.
+        if self.open >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", token.offset)
+
 
     def _peek(self) -> _Token:
         return self.tokens[self.i]
@@ -194,6 +215,10 @@ class _Parser:
         token = self._peek()
         if token.kind != "end":
             raise ParseError(f"unexpected token '{token.text}'", token.offset)
+        # Every node owns a token of its own, so only a text of more tokens
+        # than MAX_DEPTH can make a tree deeper than that.
+        if len(self.tokens) - 1 > MAX_DEPTH:
+            _check_depth(node)
         return node
 
     def _expr(self) -> Expr:
@@ -214,14 +239,20 @@ class _Parser:
         base = self._unary()
         if self._peek().kind == "^":
             op = self._advance()
-            return BinOp("^", base, self._factor(), offset=op.offset)
+            self._descend(op)
+            exponent = self._factor()
+            self.open -= 1
+            return BinOp("^", base, exponent, offset=op.offset)
         return base
 
     def _unary(self) -> Expr:
         token = self._peek()
         if token.kind == "-":
             self._advance()
-            return Neg(self._unary(), offset=token.offset)
+            self._descend(token)
+            operand = self._unary()
+            self.open -= 1
+            return Neg(operand, offset=token.offset)
         return self._primary()
 
     def _primary(self) -> Expr:
@@ -229,7 +260,9 @@ class _Parser:
         if token.kind == "number":
             return Num(float(token.text), token.text, offset=token.offset)
         if token.kind == "(":
+            self._descend(token)
             node = self._expr()
+            self.open -= 1
             closing = self._advance()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.offset)
@@ -244,11 +277,12 @@ class _Parser:
         if name in FUNCTION_ARITY:
             if self._peek().kind != "(":
                 raise ParseError(f"function '{name}' must be called with arguments", token.offset)
-            self._advance()
+            self._descend(self._advance())
             args = [self._expr()]
             while self._peek().kind == ",":
                 self._advance()
                 args.append(self._expr())
+            self.open -= 1
             closing = self._advance()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.offset)
@@ -275,6 +309,23 @@ class _Parser:
                 )
             return Var(index, offset=token.offset)
         raise ParseError(f"unknown identifier '{name}'", token.offset)
+
+
+def _check_depth(root: Expr) -> None:
+    """Refuse a tree more than MAX_DEPTH nodes deep from root to leaf, at the
+    first node, in post-order, that a longer path reaches."""
+    depths: dict[int, int] = {}  # by id: each node's levels down to its deepest leaf
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if not children_done:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+            continue
+        depth = 1 + max((depths[id(child)] for child in _children(node)), default=0)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", node.offset)
+        depths[id(node)] = depth
 
 
 def parse(text: str, n_vars: int) -> Expr:
@@ -447,17 +498,22 @@ def _eval(node: Expr, columns: tuple[np.ndarray, ...], temps: _Temps | None = No
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _children(node: Expr) -> tuple:
+    """The operands of `node`, left to right."""
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
 def _subtrees(node: Expr):
     """`node` and its descendants, depth first, left to right."""
     yield node
-    if isinstance(node, Neg):
-        yield from _subtrees(node.operand)
-    elif isinstance(node, BinOp):
-        yield from _subtrees(node.left)
-        yield from _subtrees(node.right)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            yield from _subtrees(arg)
+    for child in _children(node):
+        yield from _subtrees(child)
 
 
 def max_var_index(node: Expr) -> int:

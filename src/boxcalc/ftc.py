@@ -2,9 +2,12 @@
 
 The central identity: the integral of f over a box equals the alternating
 sum of an antiderivative F over the box's 2**n vertices, signed by parity of
-the number of lower-bound coordinates.  A parallelotope's integral is that
-sum on the unit box for the pulled-back integrand f(origin + T u) |det T|,
-so its vertices carry the unit box's labels and signs.
+the number of lower-bound coordinates.  Parallelotopes and triangles reach
+it by change of variables onto the unit box: the integrand there is a plain
+composition, f(origin + T u) (pullback_field), for a triangle folded across
+the unit square's antidiagonal (mirror_extend), and |det T| multiplies each
+integral once.  So a parallelotope's vertices carry the unit box's labels
+and signs.
 
 Every vertex sum is F on a tensor grid (oracle.evaluate_on_grid, the same
 tiled walk as the cubature's), then one math.fsum per cell
@@ -64,8 +67,10 @@ class IntegralResult:
     """Integral value plus the vertex contributions that recompute it.
 
     `value` equals the exact sum of sign * antiderivative over
-    `contributions`.  `oracle`, `abs_diff`, `rel_diff` are filled by
-    with_oracle; `symmetry` is set by the triangle path.
+    `contributions`, except for a triangle, whose contributions are those
+    of its parallelogram and whose value is half their sum.  `oracle`,
+    `abs_diff`, `rel_diff` are filled by with_oracle; `symmetry` is set by
+    the triangle path.
     """
 
     value: float
@@ -163,15 +168,17 @@ def compositionality_check(F, box: Hypercuboid, cuts) -> CompositionalityReport:
     return CompositionalityReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), subboxes=len(cells))
 
 
-def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
-    """The integrand u -> f(origin + T u) * weight on the unit box.
+def pullback_field(f, origin, matrix) -> ScalarField:
+    """The integrand u -> f(origin + T u): f composed with an affine map.
 
-    Works on coordinate columns, axis by axis: the x columns come from
+    Its values are f's as they are; the change of variables' |det T| is
+    applied once to each integral (integrate_parallelotope).  Works on
+    coordinate columns, axis by axis: the x columns come from
     oracle.affine_columns, the map that Monte Carlo uses too, summed left
     to right so that the values do not depend on the BLAS build.  Within a
-    walk they are tile buffers (see workspace), lent to f.fn for that call.
-    The origin must have f.arity entries and the matrix must be f.arity x
-    f.arity.
+    walk they are tile buffers (see workspace), lent to f.fn for that call;
+    coordinates that overflow reach f as inf.  The origin must have f.arity
+    entries and the matrix must be f.arity x f.arity.
     """
     n = f.arity
     origin = tuple(float(c) for c in origin)
@@ -182,54 +189,50 @@ def pullback_field(f, origin, matrix, weight: float) -> ScalarField:
             f"matrix, got {len(origin)} and shape {matrix.shape}"
         )
     rows = matrix.tolist()
-    weight = float(weight)
 
     def fn(columns) -> np.ndarray:
         shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-        # Coordinates or values that overflow reach f, or the caller, as inf.
         xs = affine_columns(origin, rows, columns, shape)
         values = f.fn(tuple(xs))
-        with np.errstate(over="ignore"):
-            if not xs or np.shape(values) != shape:
-                # The caller refuses values of the wrong shape.
-                scaled = values * weight
-            else:
-                # Scaled in a lent buffer and copied once f's values are
-                # freed, so that at most one new tile-sized array is alive
-                # at a time (see workspace).
-                scaled = np.multiply(values, weight, out=xs[0])
-                del values
-                scaled = scaled.copy()
         workspace.give(*xs)
-        return scaled
+        return values
 
     return ScalarField(n, fn, tag="pullback")
 
 
-def integrate_parallelotope(
-    f,
-    p: Parallelotope,
-    quad: QuadratureConfig | None = None,
-    order=None,
-) -> IntegralResult:
+def _unit_box_integral(g, det: float, quad: QuadratureConfig | None) -> IntegralResult:
+    """integrate_box_from_f of a pulled-back g over the unit box, times |det T|.
+
+    The value and each contribution's F are scaled once, so the value is
+    still the exact sum of sign * F over the contributions (every F but the
+    all-ones vertex's is 0.0).  A product that overflows raises DomainError.
+    """
+    n = g.arity
+    unit = integrate_box_from_f(g, Hypercuboid((0.0,) * n, (1.0,) * n), quad)
+    volume = abs(det)
+    value = volume * unit.value
+    if not math.isfinite(value):
+        raise DomainError(
+            f"the integral {unit.value!r} on the unit box times |det T| = {volume!r} "
+            "overflows the floating-point range"
+        )
+    contributions = tuple((label, sign, volume * F) for label, sign, F in unit.contributions)
+    return IntegralResult(value=value, method="parallelotope", contributions=contributions)
+
+
+def integrate_parallelotope(f, p: Parallelotope, quad: QuadratureConfig | None = None) -> IntegralResult:
     """Integrate f over a parallelotope by a signed vertex sum.
 
     Change of variables maps the unit box onto the parallelotope:
     integrate_box_from_f integrates the pulled-back integrand f(origin + T u)
-    |det T| over the unit box.  `order` optionally permutes the visit order
-    of the 2**n contributions; the exact summation makes the value
-    independent of it.
+    over the unit box, and its value and vertex contributions are then
+    multiplied by |det T| once.  The contributions carry the unit box's
+    labels and signs, in label order.
     """
     n = p.dim
     if f.arity != n:
         raise DomainError(f"field arity {f.arity} does not match dimension {n}")
-    g = pullback_field(f, p.origin, p.matrix, abs(p.det))
-    indices = list(range(2**n)) if order is None else [int(i) for i in order]
-    if sorted(indices) != list(range(2**n)):
-        raise DomainError(f"order must be a permutation of 0..{2**n - 1}")
-    unit = integrate_box_from_f(g, Hypercuboid((0.0,) * n, (1.0,) * n), quad)
-    contributions = tuple(unit.contributions[i] for i in indices)
-    return IntegralResult(value=unit.value, method="parallelotope", contributions=contributions)
+    return _unit_box_integral(pullback_field(f, p.origin, p.matrix), p.det, quad)
 
 
 def _cross2(u, v) -> float:
@@ -275,50 +278,39 @@ def check_segment_symmetry(
     )
 
 
-def mirror_extend(f, p, q, r) -> ScalarField:
-    """Extend f from triangle PQR to the parallelogram P, Q, Q+R-P, R.
+def mirror_extend(g) -> ScalarField:
+    """Fold a 2-ary field g on the unit square across its antidiagonal.
 
-    Points on the far side of the line QR are reflected through the midpoint
-    of QR back into the triangle: the extension is z -> f(Q + R - z) there.
-    Requires f to be midpoint-symmetric along QR for the result to be
-    well-defined on the seam.  A point is on the near side when its side
-    of QR times P's is >= 0, so a point on QR keeps its coordinates and one
-    with a NaN coordinate is reflected.  Each call is one f.fn call on the
-    columns where(far, Q + R - z, z) at the columns' broadcast shape, tile
-    buffers within a walk (see workspace); an EvalError names the first
-    failing point of those columns in C order.
+    The result is u -> g(1 - u1, 1 - u2) where u1 + u2 > 1, else g(u): the
+    half beyond the line u1 + u2 = 1 is reflected through (1/2, 1/2) onto
+    the other half.  For g = pullback_field(f, P, T) with T's columns Q - P
+    and R - P, that line is the pulled-back segment QR and the fold is
+    f(Q + R - x) on the far side of QR.  A point on the line keeps its
+    coordinates, and so does one with a NaN coordinate.  Each call is one
+    g.fn call on the columns where(u1 + u2 > 1, 1 - u, u) at the columns'
+    broadcast shape, tile buffers within a walk (see workspace), as are the
+    side mask and the sum it is read from.
     """
-    if f.arity != 2:
-        raise DomainError(f"triangle machinery needs arity 2, got {f.arity}")
-    pv = np.asarray(tuple(float(c) for c in p), dtype=float)
-    qv = np.asarray(tuple(float(c) for c in q), dtype=float)
-    rv = np.asarray(tuple(float(c) for c in r), dtype=float)
-    edge = rv - qv
-    side_p = _cross2(edge, pv - qv)
-    through = qv + rv
+    if g.arity != 2:
+        raise DomainError(f"triangle machinery needs arity 2, got {g.arity}")
 
     def fn(columns) -> np.ndarray:
         shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
         ys = workspace.take(shape), workspace.take(shape)
-        # The side of QR, edge[0] * (x2 - Q2) - edge[1] * (x1 - Q1), in the
-        # buffers that take the reflected columns next.
-        np.multiply(edge[0], np.subtract(columns[1], qv[1], out=ys[1]), out=ys[1])
-        np.multiply(edge[1], np.subtract(columns[0], qv[0], out=ys[0]), out=ys[0])
-        side = np.subtract(ys[1], ys[0], out=ys[0])
-        far = np.greater_equal(np.multiply(side, side_p, out=side), 0.0, out=workspace.take(shape, bool))
-        np.logical_not(far, out=far)
-        for y, c, s in zip(ys, columns, through):
+        # u1 + u2 goes to the buffer that takes the folded u1 next.
+        far = np.greater(np.add(*columns, out=ys[0]), 1.0, out=workspace.take(shape, bool))
+        for y, c in zip(ys, columns):
             np.copyto(y, c)
-            np.subtract(s, c, out=y, where=far)
-        values = f.fn(ys)
+            np.subtract(1.0, c, out=y, where=far)
+        values = g.fn(ys)
         workspace.give(far, *ys)
         return values
 
     return ScalarField(2, fn, tag="pullback")
 
 
-# The mirror extension is continuous but its gradient jumps across QR, which
-# pulls back to the unit square's antidiagonal.  Composite tensor rules
+# The fold is continuous but its gradient jumps across the unit square's
+# antidiagonal u1 + u2 = 1, the pulled-back seam QR.  Composite tensor rules
 # converge only as (nodes*panels)**-2 against that seam, so the triangle
 # path defaults to a much denser rule than the smooth-integrand default:
 # 32*192 points per axis puts unit-scale examples near 3e-9.
@@ -336,11 +328,15 @@ def integrate_triangle_symmetric(
 ) -> IntegralResult:
     """Integrate f over triangle PQR when f is midpoint-symmetric along QR.
 
-    The triangle is completed to the parallelogram with fourth vertex
-    S = Q + R - P; the mirror-extended integrand is integrated over it and
-    halved.  Degenerate triangles are rejected, and the symmetry
-    precondition is sampled first: violations raise SymmetryError carrying
-    the worst sample.
+    The triangle is half of the parallelogram P + T u, u in the unit square,
+    with T's columns Q - P and R - P.  The pulled-back f, folded across the
+    square's antidiagonal (mirror_extend), is integrated over the unit
+    square at `quad or TRIANGLE_QUAD`; the value is half of |det T| times
+    that integral.  The contributions are the parallelogram's: its F values,
+    |det T| times the unit square's, so `value` is half their signed sum.
+    Degenerate triangles are rejected, and so are near-singular ones by the
+    parallelogram's checked determinant.  The symmetry precondition is
+    sampled first: violations raise SymmetryError carrying the worst sample.
     """
     pv = np.asarray(tuple(float(c) for c in p), dtype=float)
     qv = np.asarray(tuple(float(c) for c in q), dtype=float)
@@ -360,9 +356,9 @@ def integrate_triangle_symmetric(
     report = check_segment_symmetry(f, qv, rv, tol=sym_tol, samples=sym_samples)
     if not report.passed:
         raise SymmetryError(report)
-    extended = mirror_extend(f, pv, qv, rv)
     parallelogram = Parallelotope.from_edge_vectors(tuple(pv), (tuple(qv - pv), tuple(rv - pv)))
-    inner = integrate_parallelotope(extended, parallelogram, quad or TRIANGLE_QUAD)
+    folded = mirror_extend(pullback_field(f, parallelogram.origin, parallelogram.matrix))
+    inner = _unit_box_integral(folded, parallelogram.det, quad or TRIANGLE_QUAD)
     return IntegralResult(
         value=0.5 * inner.value,
         method="triangle",

@@ -127,8 +127,10 @@ class Hypercuboid:
         if len(lower) == 0:
             raise DomainError("box needs at least one axis")
         for j, (a, b) in enumerate(zip(lower, upper), start=1):
-            if a > b:
-                raise DomainError(f"axis {j}: lower bound {a} exceeds upper bound {b}")
+            # Written so that NaN fails too: every comparison with NaN is false.
+            if not a <= b:
+                relation = "exceeds" if a > b else "is not ordered against"
+                raise DomainError(f"axis {j}: lower bound {a} {relation} upper bound {b}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

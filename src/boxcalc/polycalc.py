@@ -5,6 +5,11 @@ every coefficient is a fractions.Fraction and no floating point enters any
 computation here.  Decimal literals coming from parsed expressions are read
 as exact decimals ("0.25" means 1/4, "0.1" means 1/10).
 
+Expansion is budgeted: a product or power that would raise a variable's
+degree, or a power's exponent, above MAX_DEGREE, or multiply more than
+MAX_PRODUCTS pairs of coefficients, raises BudgetExceededError before it
+runs (check_expansion).
+
 Evaluation reads each coordinate a/b through integer powers a**k * b**(K-k),
 shared by all terms and, in a vertex sum, by all vertices, and reduces one
 integer sum per point over one common denominator; the values are the same
@@ -21,9 +26,27 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import expression as ex
-from .errors import BoxcalcError, DomainError, InternalCheckError
+from .errors import BoxcalcError, BudgetExceededError, DomainError, InternalCheckError
 from .geometry import Hypercuboid, vertex_signs
 from .oracle import check_vertex_count
+
+# The exact route's budget for one expansion.  Coefficient products cost a
+# few microseconds each, and more as the coefficients grow; the highest
+# degree keeps every power's repeated multiplication and every vertex
+# value's integer powers short.
+MAX_DEGREE = 1000
+MAX_PRODUCTS = 100_000
+
+
+def check_expansion(products: int, degrees) -> None:
+    """Refuse an expansion, before it runs, that multiplies more than
+    MAX_PRODUCTS pairs of coefficients or leaves a variable of degree above
+    MAX_DEGREE; `degrees` are the result's, variable by variable."""
+    if products > MAX_PRODUCTS:
+        raise BudgetExceededError(f"{products} coefficient products exceed the budget {MAX_PRODUCTS}")
+    for j, degree in enumerate(degrees, start=1):
+        if degree > MAX_DEGREE:
+            raise BudgetExceededError(f"degree {degree} in x{j} exceeds the degree budget {MAX_DEGREE}")
 
 
 class NonPolynomialError(BoxcalcError):
@@ -106,6 +129,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
+        check_expansion(len(self.terms) * len(other.terms), map(sum, zip(_degrees(self), _degrees(other))))
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -116,8 +140,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        """self**k by k multiplications, refused before the first when their
+        products could exceed the budget or k exceeds MAX_DEGREE."""
         if not isinstance(k, int) or k < 0:
             raise DomainError(f"polynomial power must be a nonnegative integer, got {k!r}")
+        if k > MAX_DEGREE:
+            raise BudgetExceededError(f"a power's exponent exceeds the degree budget {MAX_DEGREE}")
+        t = len(self.terms)
+        degrees = _degrees(self)
+        # Multiplication i multiplies the t terms of self by those of self**i:
+        # at most comb(i+t-1, t-1) monomials, with at most i*d+1 exponents of
+        # a variable of degree d.
+        products = 0 if self.is_zero() else sum(
+            t * min(math.comb(i + t - 1, t - 1), math.prod(i * d + 1 for d in degrees)) for i in range(k)
+        )
+        check_expansion(products, [k * d for d in degrees])
         out = Polynomial.constant(self.arity, 1)
         for _ in range(k):
             out = out * self
@@ -147,6 +184,11 @@ class Polynomial:
         for piece in pieces[1:]:
             out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
         return out
+
+
+def _degrees(p: Polynomial) -> list[int]:
+    """Each variable's highest exponent in p; all 0 for the zero polynomial."""
+    return list(map(max, zip(*p.terms))) if p.terms else [0] * p.arity
 
 
 def _int_exponent(p: Polynomial) -> int:

@@ -5,7 +5,7 @@ evaluates its grid tile by tile, and so does Monte Carlo
 (oracle.monte_carlo_affine) with its samples.  Each layer a tile passes
 through needs tile-sized temporaries: the cubature's weights and
 extraction pass, Monte Carlo's draws, coordinates and deviations, a
-pullback's coordinates, a mirror extension's side mask and reflected
+pullback's coordinates, the triangle fold's side mask and folded
 coordinates, an expression's intermediate values.  Allocated afresh for
 every tile, a few of them alive at once are enough for glibc to hand the
 freed top of the heap back to the kernel at the end of each tile and fault

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,16 @@ class TestParallelotope:
             err += " the floating-point range\n"
         assert run_process(["parallelotope", "--origin", "0,0", "--edges", edges, "--f", "1"]) == (code, out, err)
 
+    def test_volume_times_the_unit_box_integral_that_overflows_exits_3(self):
+        # The pulled-back integrand's cubature is finite; |det T| times it is not.
+        args = ["parallelotope", "--f", "x1+x2", "--origin", "1e300,0", "--edges", "1e10,0;0,1e10"]
+        assert run_process(args) == (
+            3,
+            "",
+            "error: the integral 1.0000000000000005e+300 on the unit box times |det T| = "
+            "1.0000000000000008e+20 overflows the floating-point range\n",
+        )
+
     def test_ragged_edges_exit_1(self, capsys):
         code, _, err = run(
             capsys, ["parallelotope", "--f", "1", "--origin", "0,0", "--edges", "1,2;2"]
@@ -412,6 +423,43 @@ class TestImpossibility:
         _, first, _ = run(capsys, ["impossibility", "--json"])
         _, second, _ = run(capsys, ["impossibility", "--json"])
         assert first == second
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "source, offset",
+        [
+            ("+".join(["x1"] * 2000), 299),  # a flat sum is a left-deep chain
+            ("(" * 300 + "x1" + ")" * 300, 99),
+            ("-" * 3000 + "x1", 99),
+        ],
+        ids=["flat-sum", "parentheses", "minus-signs"],
+    )
+    def test_an_expression_nested_too_deep_is_one_parse_error(self, capsys, source, offset):
+        code, out, err = run(capsys, ["integrate", "--F=" + source, "--box", "0:1"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error: expression nests deeper than 100 levels (at offset {offset})\n"
+            f"  {source}\n  {' ' * offset}^\n"
+        )
+
+    @pytest.mark.parametrize(
+        "source, box, err",
+        [
+            ("x1^100000000", "0:1", "a power's exponent exceeds the degree budget 1000"),
+            ("x1^2^2^2^2^2", "0:1", "a power's exponent exceeds the degree budget 1000"),
+            ("(x1+x2+x3+x4)^60", "0:1,0:1,0:1,0:1", "2382660 coefficient products exceed the budget 100000"),
+            ("x1^20000", "0:3", "a power's exponent exceeds the degree budget 1000"),
+            ("x1", "0:1e5000", f"an exact value has more than {sys.get_int_max_str_digits()} digits, too many to print"),
+        ],
+        ids=["huge-power", "power-tower", "dense-power", "high-degree", "long-value"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_the_exact_route_refuses_what_it_cannot_finish_or_print(self, capsys, source, box, err, as_json):
+        start = time.perf_counter()
+        code, out, got_err = run(capsys, ["integrate", "--exact", "--f", source, "--box", box] + ["--json"] * as_json)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, got_err) == (3, "", f"error: {err}\n")
 
 
 class TestHarness:

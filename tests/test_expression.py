@@ -14,6 +14,7 @@ from boxcalc import (
     evaluate_batch,
     evaluate_grid,
     parse,
+    poly_from_expr,
     to_text,
 )
 from boxcalc.expression import BinOp, Call, Const, Neg, Num, Var, num
@@ -262,3 +263,54 @@ def test_overflow_raises_without_a_warning():
     with pytest.raises(EvalError, match="non-finite result") as info:
         evaluate_batch(node, np.array([[0.5, 0.5], [1.0, 1.0]]))
     assert info.value.point == (1.0, 1.0)
+
+
+def _deep(kind, levels):
+    """Source text nested `levels` deep in one way."""
+    return {
+        "sum": "+".join(["x1"] * levels),
+        "parens": "(" * (levels - 1) + "x1" + ")" * (levels - 1),
+        "minus": "-" * (levels - 1) + "x1",
+        "calls": "sin(" * (levels - 1) + "x1" + ")" * (levels - 1),
+        "powers": "^".join(["x1"] * levels),
+    }[kind]
+
+
+DEPTH_KINDS = ["sum", "parens", "minus", "calls", "powers"]
+
+
+@pytest.mark.parametrize("kind", DEPTH_KINDS)
+def test_text_at_the_depth_bound_parses_evaluates_and_prints(kind):
+    node = parse(_deep(kind, ex.MAX_DEPTH), 1)
+    assert parse(to_text(node), 1) == node
+    assert np.isfinite(evaluate_batch(node, np.array([[0.5]]))).all()
+    assert ex.max_var_index(node) == 1
+    if kind in ("sum", "parens", "minus"):
+        assert poly_from_expr(node, 1).arity == 1
+
+
+# The offset is that of the token where the bound is crossed: the last
+# operator of a flat sum, else the innermost opening one.
+@pytest.mark.parametrize(
+    "kind, offset",
+    [
+        ("sum", 3 * ex.MAX_DEPTH - 1),
+        ("parens", ex.MAX_DEPTH - 1),
+        ("minus", ex.MAX_DEPTH - 1),
+        ("calls", 4 * ex.MAX_DEPTH - 1),
+        ("powers", 3 * ex.MAX_DEPTH - 1),
+    ],
+)
+def test_text_one_level_deeper_is_a_parse_error_where_it_crosses(kind, offset):
+    with pytest.raises(ParseError) as info:
+        parse(_deep(kind, ex.MAX_DEPTH + 1), 1)
+    assert info.value.message == f"expression nests deeper than {ex.MAX_DEPTH} levels"
+    assert info.value.offset == offset
+
+
+def test_groups_do_not_add_tree_levels():
+    # 100 terms in 50 nested groups: the text is 51 levels deep at its
+    # innermost term, and the left-deep tree is 100, right at the bound.
+    text = "(" * 50 + "x1" + "".join(f"+x1)" for _ in range(50)) + "+x1" * 49
+    node = parse(text, 1)
+    assert evaluate(node, (1.0,)) == 100.0

@@ -206,32 +206,32 @@ class TestIntegrateBoxFromF:
 class TestParallelotope:
     def test_pullback_field_values(self):
         f = field_from_expression("x1+x2", 2)
-        g = pullback_field(f, (1.0, 1.0), [[2.0, 0.0], [0.0, 3.0]], 5.0)
-        assert g((0.5, 1.0)) == 30.0
+        g = pullback_field(f, (1.0, 1.0), [[2.0, 0.0], [0.0, 3.0]])
+        assert g((0.5, 1.0)) == 6.0
         assert g.tag == "pullback"
 
     def test_pullback_refuses_a_short_origin(self):
         f = field_from_expression("x1+x2", 2)
         with pytest.raises(DomainError, match="origin"):
-            pullback_field(f, (0.0,), np.eye(2), 1.0)
+            pullback_field(f, (0.0,), np.eye(2))
 
     def test_pullback_refuses_a_matrix_of_the_wrong_shape(self):
         f = field_from_expression("x1+x2", 2)
         with pytest.raises(DomainError, match="matrix"):
-            pullback_field(f, (0.0, 0.0), [[1.0, 0.0]], 1.0)
+            pullback_field(f, (0.0, 0.0), [[1.0, 0.0]])
 
-    def test_pullback_of_a_constant_is_the_constant_times_the_weight(self):
-        g = pullback_field(field_from_expression("3", 0), (), np.zeros((0, 0)), 2.5)
-        assert g(()) == 7.5
-        assert g.evaluate(np.empty((4, 0))).tolist() == [7.5] * 4
+    def test_pullback_of_a_constant_is_the_constant(self):
+        g = pullback_field(field_from_expression("3", 0), (), np.zeros((0, 0)))
+        assert g(()) == 3.0
+        assert g.evaluate(np.empty((4, 0))).tolist() == [3.0] * 4
 
     # A 3-d map whose per-point sums round differently in other orders.
     _ORIGIN = (0.3, -1.7, 0.1)
     _MATRIX = [[0.7, -0.3, 1.1], [0.13, 0.9, -0.41], [-0.27, 0.35, 1.3]]
 
     @classmethod
-    def _reference(cls, f, us, weight):
-        """f(o + T u) * weight, each coordinate summed left to right in plain Python."""
+    def _reference(cls, f, us):
+        """f(o + T u), each coordinate summed left to right in plain Python."""
         xs = []
         for u in us:
             x = []
@@ -241,16 +241,16 @@ class TestParallelotope:
                     total = total + t * uj
                 x.append(o + total)
             xs.append(x)
-        return f.evaluate(np.array(xs)) * weight
+        return f.evaluate(np.array(xs))
 
     def test_pullback_sums_each_coordinate_left_to_right(self):
         f = field_from_expression("exp(x1)*sin(x2)+x3^2*x1", 3)
-        g = pullback_field(f, self._ORIGIN, self._MATRIX, 1.7)
+        g = pullback_field(f, self._ORIGIN, self._MATRIX)
         rng = np.random.default_rng(5)
         axes = [rng.random(m) for m in (6, 7, 8)]
         grid = g.fn(tuple(a.reshape([-1 if i == j else 1 for i in range(3)]) for j, a in enumerate(axes)))
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        want = self._reference(f, points.tolist(), 1.7)
+        want = self._reference(f, points.tolist())
         assert grid.shape == (6, 7, 8)
         assert grid.ravel().tobytes() == want.tobytes()
         assert g.evaluate(points).tobytes() == want.tobytes()
@@ -263,19 +263,25 @@ class TestParallelotope:
         monkeypatch.setattr(ftc, "field_from_callable", refuse, raising=False)
         monkeypatch.setattr(antiderivative, "field_from_callable", refuse)
         f = field_from_expression("x1*exp(x2)*x3", 3)
-        g = pullback_field(f, (0.0, 0.0, 0.0), np.diag([1.0, 2.0, 0.5]), 1.0)
+        g = pullback_field(f, (0.0, 0.0, 0.0), np.diag([1.0, 2.0, 0.5]))
         got = gauss_legendre_box(g, Hypercuboid((0.0,) * 3, (1.0,) * 3))
         assert got == pytest.approx((math.e**2 - 1) / 16, rel=1e-14)
+
+    def test_pullback_returns_fs_values_as_they_are(self):
+        values = np.array([1.5, -2.0])
+        f = ScalarField(2, lambda columns: values)
+        assert pullback_field(f, (0.0, 0.0), 3.0 * np.eye(2)).fn((np.zeros(2), np.ones(2))) is values
 
     def test_pullback_overflow_raises_without_a_warning(self, recwarn):
         f = field_from_expression("x1+x2", 2)
         quad = QuadratureConfig(nodes=4, panels=1)
-        coordinates = pullback_field(f, (1e308, 0.0), [[1e308, 1e308], [0.0, 1.0]], 1.0)
+        coordinates = pullback_field(f, (1e308, 0.0), [[1e308, 1e308], [0.0, 1.0]])
         with pytest.raises(EvalError, match="non-finite"):
             gauss_legendre_box(coordinates, UNIT_SQUARE, quad)
-        values = pullback_field(f, (1e300, 0.0), np.eye(2), 1e10)
-        with pytest.raises(DomainError, match="not finite"):
-            gauss_legendre_box(values, UNIT_SQUARE, quad)
+        # The unit box's integral is finite; |det T| = 1e20 times it is not.
+        p = Parallelotope.from_edge_vectors((1e300, 0.0), ((1e10, 0.0), (0.0, 1e10)))
+        with pytest.raises(DomainError, match=r"on the unit box times \|det T\| = 1\.0+\d*e\+20 overflows the floating-point range"):
+            integrate_parallelotope(f, p, quad)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_unit_box_embedding_is_bitwise_box_integral(self):
@@ -325,21 +331,22 @@ class TestParallelotope:
     def test_visit_order_does_not_change_the_value(self):
         f = field_from_expression("exp(x1)*x2", 2)
         p = Parallelotope.from_edge_vectors((0.5, -0.5), ((1.0, 0.25), (0.0, 2.0)))
-        quad = QuadratureConfig(nodes=8, panels=1)
-        base = integrate_parallelotope(f, p, quad)
+        base = integrate_parallelotope(f, p, QuadratureConfig(nodes=8, panels=1))
+        terms = [sign * F for _, sign, F in base.contributions]
         rng = random.Random(2)
         for _ in range(5):
-            order = list(range(4))
-            rng.shuffle(order)
-            shuffled = integrate_parallelotope(f, p, quad, order=order)
-            assert shuffled.value == base.value
-            assert shuffled.contributions[0][0].as_index() == order[0]
+            rng.shuffle(terms)
+            assert math.fsum(terms) == base.value
 
-    def test_order_validation(self):
-        f = field_from_expression("1", 2)
-        p = Parallelotope.from_edge_vectors((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(DomainError, match="permutation of 0..3"):
-            integrate_parallelotope(f, p, order=[0, 1, 1, 2])
+    def test_value_and_contributions_are_the_unit_box_ones_times_the_volume(self):
+        f = field_from_expression("exp(x1)*x2", 2)
+        p = Parallelotope.from_edge_vectors((0.5, -0.5), ((1.0, 0.25), (0.0, 2.0)))
+        quad = QuadratureConfig(nodes=8, panels=1)
+        unit = integrate_box_from_f(pullback_field(f, p.origin, p.matrix), UNIT_SQUARE, quad)
+        result = integrate_parallelotope(f, p, quad)
+        volume = abs(p.det)
+        assert result.value == volume * unit.value
+        assert result.contributions == tuple((label, sign, volume * F) for label, sign, F in unit.contributions)
 
     def test_arity_mismatch(self):
         f = field_from_expression("x1", 1)
@@ -385,24 +392,32 @@ class TestSegmentSymmetry:
 
     def test_mirror_extension_values(self):
         f = field_from_expression("x1", 2)
-        extended = mirror_extend(f, (0.0, 0.0), self.Q, self.R)
+        extended = mirror_extend(f)
         assert extended((0.2, 0.3)) == 0.2  # inside the triangle
-        assert extended((0.8, 0.9)) == pytest.approx(0.2, abs=1e-15)  # reflected
+        assert extended((0.8, 0.9)) == pytest.approx(0.2, abs=1e-15)  # folded
         assert extended((0.5, 0.5)) == 0.5  # on the seam
+        assert extended((0.25, 0.75)) == 0.25  # on the seam
+
+    def test_folded_pullback_is_f_reflected_through_the_midpoint_of_qr(self):
+        f = field_from_expression("exp(x1)*cos(3*x2)+x1*x2", 2)
+        p, q, r = np.array([0.5, -1.0]), np.array([2.0, 0.25]), np.array([-0.75, 1.5])
+        folded = mirror_extend(pullback_field(f, p, np.column_stack((q - p, r - p))))
+        us = np.random.default_rng(3).random((200, 2))
+        xs = p + us @ np.column_stack((q - p, r - p)).T
+        far = us.sum(axis=1) > 1.0
+        assert 0 < far.sum() < len(us)
+        want = f.evaluate(np.where(far[:, None], q + r - xs, xs))
+        np.testing.assert_allclose(folded.evaluate(us), want, rtol=1e-12, atol=1e-12)
 
     @staticmethod
-    def _near_far_split(f, p, q, r, columns):
-        """The extension as two f calls: on the near points, and on the reflected far points."""
-        pv, qv, rv = (np.asarray(v, dtype=float) for v in (p, q, r))
-        edge = rv - qv
-        side_p = float(edge[0] * (pv - qv)[1] - edge[1] * (pv - qv)[0])
-        side = edge[0] * (columns[1] - qv[1]) - edge[1] * (columns[0] - qv[0])
-        near = side * side_p >= 0.0
-        x1, x2 = (np.broadcast_to(c, near.shape) for c in columns)
-        out = np.empty(near.shape)
-        out[near] = f.fn((x1[near], x2[near]))
-        far = ~near
-        out[far] = f.fn(((qv[0] + rv[0]) - x1[far], (qv[1] + rv[1]) - x2[far]))
+    def _near_far_split(f, columns):
+        """The fold as two f calls: on the near points, and on the folded far points."""
+        far = columns[0] + columns[1] > 1.0
+        near = ~far
+        u1, u2 = (np.broadcast_to(c, far.shape) for c in columns)
+        out = np.empty(far.shape)
+        out[near] = f.fn((u1[near], u2[near]))
+        out[far] = f.fn((1.0 - u1[far], 1.0 - u2[far]))
         return out
 
     @pytest.mark.parametrize("in_walk", [False, True], ids=["outside-a-walk", "in-a-walk"])
@@ -413,20 +428,19 @@ class TestSegmentSymmetry:
             return 3.0 * a * a - 0.5 * c[1] + a * c[1]
 
         f = ScalarField(2, f_fn)
-        p = (-0.5, 0.0)
         rows = np.array([0.0, 0.25, 0.5, math.nan, 0.75, 1.0, 1.25, -0.5])
         cols = np.arange(-256, workspace.MIN_TILE // len(rows) - 256) / 1024
-        # QR runs from (1, 0) to (0, 1): (0.25, 0.75), (0.5, 0.5) and more lie on it exactly.
+        # The seam runs from (1, 0) to (0, 1): (0.25, 0.75), (0.5, 0.5) and more lie on it exactly.
         columns = (rows.reshape(-1, 1), cols.reshape(1, -1))
-        want = self._near_far_split(f, p, self.Q, self.R, columns)
-        extended = mirror_extend(f, p, self.Q, self.R)
+        want = self._near_far_split(f, columns)
+        extended = mirror_extend(f)
         with workspace.walk(workspace.MIN_TILE if in_walk else 0):
             got = extended.fn(columns)
         assert got.tobytes() == want.tobytes()
 
     def test_mirror_extension_error_names_the_first_failing_point_in_c_order(self):
-        extended = mirror_extend(field_from_expression("log(x1)", 2), (0.0, 0.0), self.Q, self.R)
-        # (1.5, 0) is far and reflects to (-0.5, 1); (-0.5, 0) is near and fails as it is.
+        extended = mirror_extend(field_from_expression("log(x1)", 2))
+        # (1.5, 0) is far and folds to (-0.5, 1); (-0.5, 0) is near and fails as it is.
         columns = (np.array([[1.5], [-0.5]]), np.array([[0.0]]))
         with pytest.raises(EvalError, match="log of a non-positive value") as info:
             extended.fn(columns)
@@ -434,7 +448,7 @@ class TestSegmentSymmetry:
 
     def test_mirror_extension_arity(self):
         with pytest.raises(DomainError, match="needs arity 2"):
-            mirror_extend(field_from_expression("x1", 1), (0.0, 0.0), self.Q, self.R)
+            mirror_extend(field_from_expression("x1", 1))
 
 
 class TestTriangle:
@@ -476,12 +490,16 @@ class TestTriangle:
         assert abs(result.value - 7.0) < 1e-9
 
     def test_half_of_parallelogram_integral_exactly(self):
-        f = field_from_expression("x1+x2", 2)
-        result = integrate_triangle_symmetric(f, self.P, self.Q, self.R, CHEAP_TRI)
-        extended = mirror_extend(f, self.P, self.Q, self.R)
-        pgram = Parallelotope.from_edge_vectors(self.P, ((1.0, 0.0), (0.0, 1.0)))
-        inner = integrate_parallelotope(extended, pgram, CHEAP_TRI)
-        assert 2.0 * result.value == inner.value
+        # x1 + 2*x2 is constant along QR; |det T| = 2.
+        f = field_from_expression("x1+2*x2", 2)
+        p, q, r = (1.0, 1.0), (3.0, 1.0), (1.0, 2.0)
+        result = integrate_triangle_symmetric(f, p, q, r, CHEAP_TRI)
+        folded = mirror_extend(pullback_field(f, p, [[2.0, 0.0], [0.0, 1.0]]))
+        unit = integrate_box_from_f(folded, UNIT_SQUARE, CHEAP_TRI)
+        assert result.value == 0.5 * (2.0 * unit.value)
+        assert result.contributions == tuple((label, sign, 2.0 * F) for label, sign, F in unit.contributions)
+        assert 2.0 * result.value == math.fsum(sign * F for _, sign, F in result.contributions)
+        assert result.value == pytest.approx(13.0 / 3.0, rel=1e-5)  # area 1, centroid (5/3, 4/3)
 
     def test_custom_symmetry_controls(self):
         f = field_from_expression("x1+x2", 2)

@@ -89,6 +89,23 @@ def test_hypercuboid_validation():
         Hypercuboid((), ())
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [((0.0, 0.0), (1.0, math.nan)), ((0.0, math.nan), (1.0, 1.0)), ((0.0, math.nan), (1.0, math.nan))],
+    ids=["upper", "lower", "both"],
+)
+def test_hypercuboid_refuses_nan_bounds(lower, upper):
+    with pytest.raises(DomainError, match=r"^axis 2: lower bound \S+ is not ordered against upper bound \S+$"):
+        Hypercuboid(lower, upper)
+
+
+def test_hypercuboid_orders_fraction_bounds_exactly():
+    # The float nearest 1/3 lies just below it.
+    assert Hypercuboid((1 / 3,), (Fraction(1, 3),)).upper == (Fraction(1, 3),)
+    with pytest.raises(DomainError, match="axis 1: lower bound 1/3 exceeds upper bound 0.333"):
+        Hypercuboid((Fraction(1, 3),), (1 / 3,))
+
+
 def test_degenerate_axis_allowed():
     box = Hypercuboid((0, 1), (1, 1))
     assert box.is_degenerate()

@@ -255,10 +255,10 @@ class TestGaussLegendreBox:
         if kind == "polynomial":
             return field_from_polynomial(poly_from_expr(parse(poly, dim), dim))
         if kind == "pullback":
-            return pullback_field(f, (0.25,) * dim, 0.5 * np.eye(dim) + 0.1 * (1 - np.eye(dim)), 1.5)
+            return pullback_field(f, (0.25,) * dim, 0.5 * np.eye(dim) + 0.1 * (1 - np.eye(dim)))
         if kind == "mirror-extension":
-            # The seam QR crosses the 2-d box; reflected points keep x2 >= 0.
-            return mirror_extend(f, (-0.5, 0.0), (2.0, 0.0), (-0.5, 0.75))
+            # The fold's line x1 + x2 = 1 crosses the 2-d box; folded points keep x2 >= 0.
+            return mirror_extend(f)
         if kind == "gauge-shifted":
             return gauge_add(f, field_from_expression("exp(x2)*x3" if dim == 3 else "exp(x2)", dim), [1])
         if kind == "numeric-F":
@@ -346,9 +346,9 @@ class TestGaussLegendreBox:
 
         f = recorded(field_from_expression("+".join(f"x{j}*x{j % dim + 1}" for j in range(1, dim + 1)), dim))
         if kind == "pullback":
-            f = pullback_field(f, (0.25,) * dim, 0.5 * np.eye(dim) + 0.1 * (1 - np.eye(dim)), 1.5)
+            f = pullback_field(f, (0.25,) * dim, 0.5 * np.eye(dim) + 0.1 * (1 - np.eye(dim)))
         elif kind == "mirror-extension":
-            f = mirror_extend(f, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+            f = mirror_extend(f)
         f = recorded(f)
         box = Hypercuboid((0.0,) * dim, (1.0,) * dim)
         tiled = gauss_legendre_box(f, box, cfg)

@@ -103,10 +103,10 @@ ACCEPTS = {
     "gauss_legendre_box": ("f", "box", "cfg"),
     "integrate_box": ("F", "box"),
     "integrate_box_from_f": ("f", "box", "quad"),
-    "integrate_parallelotope": ("f", "p", "quad", "order"),
+    "integrate_parallelotope": ("f", "p", "quad"),
     "integrate_triangle_symmetric": ("f", "p", "q", "r", "quad", "sym_tol", "sym_samples"),
     "legendre_rule": ("q",),
-    "mirror_extend": ("f", "p", "q", "r"),
+    "mirror_extend": ("g",),
     "mixed_partial": ("F", "x", "h"),
     "monomial_product_integral": ("p", "box"),
     "monte_carlo_affine": ("f", "origin", "edges", "samples", "seed"),
@@ -118,7 +118,7 @@ ACCEPTS = {
     "poly_from_expr": ("node", "arity"),
     "poly_mixed_partial": ("p",),
     "poly_vertex_sum": ("p", "box"),
-    "pullback_field": ("f", "origin", "matrix", "weight"),
+    "pullback_field": ("f", "origin", "matrix"),
     "subdivide_grid": ("box", "cuts"),
     "to_text": ("node",),
     "triangle_impossibility_check": (),

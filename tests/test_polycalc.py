@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcalc import (
+    BudgetExceededError,
     DomainError,
     Hypercuboid,
     NonPolynomialError,
@@ -20,6 +23,7 @@ from boxcalc import (
     poly_vertex_sum,
     vertex_sum_integral,
 )
+from boxcalc import polycalc
 from helpers import random_polynomial, random_rational_box
 
 
@@ -231,3 +235,46 @@ class TestBoxIntegrals:
             assert lhs == rhs
             assert isinstance(lhs, Fraction)
             assert poly_box_integral(p, box) == lhs
+
+
+class TestBudget:
+    def test_a_power_above_the_degree_budget_is_refused(self):
+        x = Polynomial.variable(1, 1)
+        assert (x**polycalc.MAX_DEGREE).terms == {(polycalc.MAX_DEGREE,): 1}
+        for base in (x, Polynomial.constant(1, 2)):
+            with pytest.raises(BudgetExceededError, match="a power's exponent exceeds the degree budget 1000"):
+                base ** (polycalc.MAX_DEGREE + 1)
+
+    def test_a_power_whose_degree_exceeds_the_budget_is_refused(self):
+        square = Polynomial.variable(2, 2) ** 2
+        with pytest.raises(BudgetExceededError, match="degree 1002 in x2 exceeds the degree budget 1000"):
+            square**501
+
+    def test_a_product_whose_degree_exceeds_the_budget_is_refused(self):
+        x = Polynomial.variable(1, 1) ** 600
+        with pytest.raises(BudgetExceededError, match="degree 1200 in x1 exceeds the degree budget 1000"):
+            x * x
+
+    def test_a_product_of_too_many_term_pairs_is_refused(self):
+        p = Polynomial(2, {(i, 0): Fraction(1) for i in range(400)})
+        q = Polynomial(2, {(0, j): Fraction(1) for j in range(300)})
+        with pytest.raises(BudgetExceededError, match="^120000 coefficient products exceed the budget 100000$"):
+            p * q
+
+    def test_a_power_counts_the_products_of_all_its_multiplications(self):
+        # (x1+x2+x3)^i has comb(i+2, 2) terms, each multiplied by 3 terms.
+        p = P("x1+x2+x3", 3)
+        with pytest.raises(BudgetExceededError) as info:
+            p**58
+        assert str(info.value) == f"{3 * math.comb(60, 3)} coefficient products exceed the budget 100000"
+        assert 3 * math.comb(59, 3) <= polycalc.MAX_PRODUCTS
+
+    @pytest.mark.parametrize(
+        "source, arity",
+        [("x1^100000000", 1), ("x1^2^2^2^2^2", 1), ("(x1+x2+x3+x4)^60", 4), ("x1^20000", 1)],
+    )
+    def test_expressions_beyond_the_budget_are_refused_at_once(self, source, arity):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            poly_from_expr(parse(source, arity), arity)
+        assert time.perf_counter() - start < 0.1

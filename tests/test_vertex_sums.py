@@ -339,9 +339,8 @@ def test_vertex_signs_are_vertex_sign_in_label_order():
 
 def test_parallelotope_signs_are_the_box_signs():
     p = Parallelotope.from_edge_vectors((0.5, -1.0, 0.0), ((1.0, 0.2, 0.0), (0.0, 2.0, 0.1), (0.3, 0.0, 1.0)))
-    order = [5, 0, 7, 2, 4, 1, 6, 3]
-    result = integrate_parallelotope(field_from_expression("1+x1*x2+x3^2", 3), p, CHEAP, order=order)
-    assert [label.as_index() for label, _, _ in result.contributions] == order
+    result = integrate_parallelotope(field_from_expression("1+x1*x2+x3^2", 3), p, CHEAP)
+    assert [label.as_index() for label, _, _ in result.contributions] == list(range(8))
     assert [sign for _, sign, _ in result.contributions] == [vertex_sign(label) for label, _, _ in result.contributions]
 
 

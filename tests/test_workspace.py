@@ -97,9 +97,9 @@ def test_expression_values_inside_a_walk_are_those_outside(text, full):
 
 
 def test_nothing_outlives_the_walk():
-    # The triangle path's layers: walker, pullback, mirror extension, evaluator.
+    # The triangle path's layers: walker, fold, pullback, evaluator.
     f = field_from_expression("1+0.5*(x1+x2)+0.25*cos(x1-x2)", 2)
-    g = pullback_field(mirror_extend(f, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), np.eye(2), 1.0)
+    g = mirror_extend(pullback_field(f, (0.0, 0.0), np.eye(2)))
     cfg = QuadratureConfig(nodes=32, panels=16)  # 4 tiles of 2^16 points
     legendre_rule(cfg.nodes)  # cached for good, and not the walk's
 
@@ -128,7 +128,7 @@ def test_a_ragged_last_tile_reuses_the_walks_buffers():
     # full.  The ragged tile takes the fronts of the walk's buffers, so the
     # walk peaks no higher than the even one, give or take its larger tile.
     f = field_from_expression("exp(0.3*x1)*cos(x2-x3)+x1*x3", 3)
-    g = pullback_field(f, (0.25,) * 3, 0.5 * np.eye(3) + 0.1 * (1 - np.eye(3)), 1.5)
+    g = pullback_field(f, (0.25,) * 3, 0.5 * np.eye(3) + 0.1 * (1 - np.eye(3)))
     cube = Hypercuboid((0.0,) * 3, (1.0,) * 3)
 
     def peak(cfg):
